@@ -1,4 +1,4 @@
-"""Cross-attention over unequal-length sequences, and the full fusion forward."""
+"""Cross-attention over unequal-length sequences, and the batched fusion forward."""
 
 import numpy as np
 
@@ -34,19 +34,36 @@ mask = np.array([True] * 9 + [False])
 masked = cross_attention(q_seq, extended, params.pairings[0], heads=4, kv_mask=mask)
 print("max deviation after appending a masked row:", np.abs(masked.data - fused.data).max())
 
-# The full forward: three pooled attention vectors + two sentiment vectors
-# -> linear head -> softmax over the six emotions.
-video = VideoFeatures(
-    video_id="demo",
-    label=EmotionLabel.JOY,
-    clip=rng.uniform(0, 1, (6, 12)).astype(np.float32),
-    beats=rng.uniform(0, 1, (6, 10)).astype(np.float32),
-    expression=rng.uniform(0, 1, (2, 10)).astype(np.float32),
-    expression_frame_index=np.array([1, 4]),
-    ocr_sentiment=rng.uniform(0, 1, 4).astype(np.float32),
-    asr_sentiment=rng.uniform(0, 1, 4).astype(np.float32),
-)
-probs = forward(video, params, config)
-for label, p in zip(EmotionLabel, probs.data):
+# The full forward runs a whole batch at once: three pooled attention
+# vectors + two sentiment vectors per video -> linear head -> softmax over
+# the six emotions, one [B, 6] row per video.
+def make_video(video_id, faces):
+    return VideoFeatures(
+        video_id=video_id,
+        label=EmotionLabel.JOY,
+        clip=rng.uniform(0, 1, (6, 12)).astype(np.float32),
+        beats=rng.uniform(0, 1, (6, 10)).astype(np.float32),
+        expression=rng.uniform(0, 1, (len(faces), 10)).astype(np.float32),
+        expression_frame_index=np.array(faces, dtype=np.int64),
+        ocr_sentiment=rng.uniform(0, 1, 4).astype(np.float32),
+        asr_sentiment=rng.uniform(0, 1, 4).astype(np.float32),
+    )
+
+
+# Face counts differ (2, 0 and 5 rows): the batch pads expression to 5 rows
+# and masks the padding, and a faceless video keeps one zero row.
+videos = [
+    make_video("two-faces", [1, 4]),
+    make_video("no-face", []),
+    make_video("five", [0, 1, 2, 3, 5]),
+]
+probs = forward(videos, params, config)
+print("batched probabilities:", probs.shape)
+for label, p in zip(EmotionLabel, probs.data[0]):
     print(f"  {label.label_name:<9} {p:.4f}")
-print("sum:", probs.data.sum())
+print("row sums:", probs.data.sum(axis=1))
+
+# A video's row does not depend on its batchmates or on the padding:
+for i, vf in enumerate(videos):
+    alone = forward([vf], params, config)
+    print(f"{vf.video_id}: max deviation batch vs alone {np.abs(alone.data[0] - probs.data[i]).max():.1e}")

@@ -1,9 +1,10 @@
 """Dense-tensor numeric core with reverse-mode automatic differentiation.
 
 Just enough machinery to express and train the fusion classifier: 2-D
-matmul, softmax, layer norm, dropout, temporal pooling, concatenation and
-a handful of pointwise/reduction ops. Values are float32 by default;
-float64 is supported so gradient verification can run at full precision.
+matmul, batched multi-head attention, softmax, layer norm, dropout,
+temporal pooling, concatenation and a handful of pointwise/reduction ops.
+Values are float32 by default; float64 is supported so gradient
+verification can run at full precision.
 
 Execution model
 ---------------
@@ -238,8 +239,16 @@ def _same_dtype(*tensors: Tensor):
 # Ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with da = g @ b.T and db = a.T @ g."""
+def matmul(a: Tensor, b: Tensor, row_independent: bool = False) -> Tensor:
+    """2-D matrix product with da = g @ b.T and db = a.T @ g.
+
+    BLAS picks its kernel by operand shape, so a row of a @ b can round
+    differently when a has 1 row than when it has 32. `row_independent`
+    computes every entry as its own pairwise-summed dot product instead,
+    which gives each output row the same bits whatever rows a holds
+    besides it. It materializes an [m, n, k] temporary, so it suits
+    narrow products such as the classifier head.
+    """
     _same_dtype(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
@@ -251,7 +260,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g @ bd.T if na else None, ad.T @ g if nb else None)
 
-    return _emit(ad @ bd, (a, b), vjp, "matmul")
+    out = (ad[:, None, :] * bd.T[None, :, :]).sum(axis=-1) if row_independent else ad @ bd
+    return _emit(out, (a, b), vjp, "matmul")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -365,31 +375,100 @@ def dropout(x: Tensor, p: float, rng: Optional[SplitMix64] = None) -> Tensor:
     return _emit(x.data * scaled_mask, (x,), lambda g: (g * scaled_mask,), "dropout")
 
 
-def mean_pool(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
-    """Mean over the temporal (first) axis of a [t, c] tensor.
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    batch: int,
+    heads: int,
+    kv_mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention over row-stacked sequences.
 
-    `valid`, when given, is a boolean row mask; the mean runs over the
-    unmasked rows only. All rows masked is a degenerate-input error.
+    q is [batch * t_q, d] and k, v are [batch * t_kv, d]: `batch`
+    equal-length sequences stacked row-wise, each row split into `heads`
+    column blocks of width dh = d / heads. Per sequence and head the op
+    computes softmax(q k^T / sqrt(dh) + bias) v, with the heads merged back
+    into [batch * t_q, d] rows. `kv_mask`, when given, is a [batch, t_kv]
+    boolean array with True marking attendable key/value rows; the others
+    get a -MASK_BIAS score bias, which underflows to exactly zero weight
+    after the softmax's max-subtraction, so they also get exactly zero
+    gradient. The [batch, heads, t, dh] products run as broadcasting
+    np.matmul, forward and backward.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_pool needs a [t, c] tensor, got {x.shape}")
-    t = x.shape[0]
-    if t < 1:
-        raise ShapeError("mean_pool needs at least one row")
-    if valid is None:
-        out = x.data.mean(axis=0)
-        weights = np.full((t, 1), 1.0 / t, dtype=x.dtype)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (t,):
-            raise ShapeError(f"valid mask must have shape ({t},), got {valid.shape}")
-        count = int(valid.sum())
-        if count == 0:
-            raise DegenerateInputError("mean_pool: every row is masked")
-        out = x.data[valid].mean(axis=0)
-        weights = (valid.astype(x.dtype) / x.dtype.type(count))[:, None]
+    _same_dtype(q, k, v)
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention needs 2-D operands, got {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[1]
+    if k.shape != v.shape or k.shape[1] != d:
+        raise ShapeError(f"attention operand widths differ: {q.shape}, {k.shape}, {v.shape}")
+    if batch < 1 or q.shape[0] % batch or k.shape[0] % batch:
+        raise ShapeError(f"cannot split {q.shape[0]} / {k.shape[0]} rows into {batch} sequences")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"width {d} is not divisible by heads={heads}")
+    t_q, t_kv, dh = q.shape[0] // batch, k.shape[0] // batch, d // heads
+    dt = q.dtype.type
+    scale_c = dt(1.0 / np.sqrt(dh))
 
-    return _emit(out, (x,), lambda g: (weights * g[None, :],), "mean_pool")
+    def split(rows: np.ndarray, t: int) -> np.ndarray:
+        return rows.reshape(batch, t, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(blocks: np.ndarray) -> np.ndarray:
+        return blocks.transpose(0, 2, 1, 3).reshape(batch * blocks.shape[2], d)
+
+    qh, kh, vh = split(q.data, t_q), split(k.data, t_kv), split(v.data, t_kv)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale_c
+    if kv_mask is not None:
+        kv_mask = np.asarray(kv_mask, dtype=bool)
+        if kv_mask.shape != (batch, t_kv):
+            raise ShapeError(f"kv_mask must have shape ({batch}, {t_kv}), got {kv_mask.shape}")
+        if not kv_mask.any(axis=1).all():
+            raise DegenerateInputError("attention: every key/value row of a sequence is masked")
+        scores += np.where(kv_mask, dt(0.0), dt(-MASK_BIAS))[:, None, None, :]
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def vjp(g):
+        gh = split(g, t_q)
+        g_weights = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+        g_scores *= scale_c
+        return (
+            merge(np.matmul(g_scores, kh)) if nq else None,
+            merge(np.matmul(g_scores.transpose(0, 1, 3, 2), qh)) if nk else None,
+            merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)) if nv else None,
+        )
+
+    return _emit(merge(np.matmul(weights, vh)), (q, k, v), vjp, "attention")
+
+
+def mean_pool(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
+    """Mean over the temporal axis of a [t, c] or [b, t, c] tensor.
+
+    `valid`, when given, is a boolean row mask of shape [t] or [b, t]; the
+    mean runs over each sequence's unmasked rows only, and masked rows get
+    exactly zero gradient. A sequence with every row masked is a
+    degenerate-input error. The mean is the sum of the kept rows over
+    their count, so padding a sequence with masked rows leaves its mean
+    bit-identical.
+    """
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"mean_pool needs a [t, c] or [b, t, c] tensor, got {x.shape}")
+    if x.shape[-2] < 1:
+        raise ShapeError("mean_pool needs at least one row")
+    keep = np.ones(x.shape[:-1], dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    if keep.shape != x.shape[:-1]:
+        raise ShapeError(f"valid mask must have shape {x.shape[:-1]}, got {keep.shape}")
+    count = keep.sum(axis=-1, keepdims=True).astype(x.dtype)
+    if np.any(count == 0):
+        raise DegenerateInputError("mean_pool: every row is masked")
+    keep = keep.astype(x.dtype)[..., None]
+    out = (x.data * keep).sum(axis=-2) / count
+    weights = keep / count[..., None]
+
+    return _emit(out, (x,), lambda g: (weights * g[..., None, :],), "mean_pool")
 
 
 def concat(xs: Sequence[Tensor]) -> Tensor:

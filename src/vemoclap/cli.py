@@ -337,8 +337,7 @@ def cmd_gradcheck(args) -> int:
     labels = [int(vf.label) for vf in videos]
 
     def loss_fn(_ignored):
-        rows = [forward(vf, params, config) for vf in videos]
-        return cross_entropy(ag.stack_rows(rows), labels)
+        return cross_entropy(forward(videos, params, config), labels)
 
     failures = 0
     worst = 0.0

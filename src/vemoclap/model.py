@@ -1,13 +1,14 @@
 """Cross-attention fusion classifier.
 
 Per-modality intake expects features already sampled to n frames and
-min-max normalized. Each configured (query, key/value) pairing of the
-three sequential modalities runs multi-head scaled dot-product attention
-(query projected to width d, post-norm residual, dropout on the output
-projection), is mean-pooled over time into one d-vector, and the three
-pooled vectors plus the two sentiment vectors are concatenated into a
-single video vector. A linear layer and softmax produce the 6-class
-probabilities.
+min-max normalized. The forward pass runs a whole batch of videos at
+once. Each configured (query, key/value) pairing of the three sequential
+modalities runs multi-head scaled dot-product attention (query projected
+to width d, post-norm residual, dropout on the output projection) over
+the batch's stacked rows, is mean-pooled over each video's real rows
+into one d-vector per video, and the three pooled vectors plus the two
+sentiment vectors are concatenated into one row per video. A linear
+layer and softmax produce the [B, 6] class probabilities.
 
 No positional encoding anywhere: temporal pooling discards order, which
 makes key/value-row permutation invariance an exact property of the
@@ -23,7 +24,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -229,125 +230,127 @@ def cross_attention(
 ) -> Tensor:
     """Multi-head scaled dot-product attention over a (query, key/value) pair.
 
-    Handles unequal temporal lengths. `kv_mask`, when given, is a boolean
-    vector with True marking attendable key/value rows; masked rows get a
-    -1e9 score bias, which underflows to exactly zero weight after the
-    softmax's max-subtraction. Output projection, dropout (TRAINING graphs
-    only), residual onto the projected query, then layer norm.
+    Takes a batch of sequences, q_seq [B, Tq, Cq] and kv_seq [B, Tkv, Ckv],
+    or one [T, C] pair treated as a batch of one; the output has the
+    query's shape with width d. Handles unequal temporal lengths.
+    `kv_mask` ([B, Tkv], or [Tkv] for a 2-D pair), when given, marks
+    attendable key/value rows with True; masked rows get a -1e9 score
+    bias, which underflows to exactly zero weight after the softmax's
+    max-subtraction. Each projection is one matmul over the stacked
+    [B*T, C] rows; output projection, dropout (TRAINING graphs only),
+    residual onto the projected query, then layer norm.
     """
-    if q_seq.data.ndim != 2 or kv_seq.data.ndim != 2:
+    ndim = q_seq.data.ndim
+    if ndim not in (2, 3) or kv_seq.data.ndim != ndim:
         raise ag.ShapeError(
-            f"cross_attention needs 2-D sequences, got {q_seq.shape} and {kv_seq.shape}"
+            f"cross_attention needs two 2-D or two 3-D sequences, got {q_seq.shape} and {kv_seq.shape}"
         )
-    if q_seq.shape[0] < 1 or kv_seq.shape[0] < 1:
+    batched = ndim == 3
+    b = q_seq.shape[0] if batched else 1
+    t_q, c_q = q_seq.shape[-2:]
+    t_kv, c_kv = kv_seq.shape[-2:]
+    if batched and kv_seq.shape[0] != b:
+        raise ag.ShapeError(f"cross_attention batch sizes differ: {q_seq.shape} and {kv_seq.shape}")
+    if b < 1 or t_q < 1 or t_kv < 1:
         raise ag.ShapeError(
             f"cross_attention needs nonempty sequences, got {q_seq.shape} and {kv_seq.shape}"
         )
-    t_kv = kv_seq.shape[0]
     d = params.w_q.shape[1]
     if d % heads != 0:
         raise ConfigError(f"d={d} not divisible by heads={heads}")
-    bias_tensor = None
     if kv_mask is not None:
         kv_mask = np.asarray(kv_mask, dtype=bool)
-        if kv_mask.shape != (t_kv,):
-            raise ag.ShapeError(f"kv_mask must have shape ({t_kv},), got {kv_mask.shape}")
-        if not kv_mask.any():
-            raise ag.DegenerateInputError("cross_attention: every key/value row is masked")
-        if not kv_mask.all():
-            bias = np.where(kv_mask, 0.0, -ag.MASK_BIAS).astype(q_seq.data.dtype)
-            bias_tensor = Tensor(bias, dtype=q_seq.data.dtype)
+        expect = kv_seq.shape[:-1]
+        if kv_mask.shape != expect:
+            raise ag.ShapeError(f"kv_mask must have shape {expect}, got {kv_mask.shape}")
+        kv_mask = kv_mask.reshape(b, t_kv)
 
-    q_proj = ag.add(ag.matmul(q_seq, params.w_q), params.b_q)
-    k_proj = ag.add(ag.matmul(kv_seq, params.w_k), params.b_k)
-    v_proj = ag.add(ag.matmul(kv_seq, params.w_v), params.b_v)
-
-    dh = d // heads
-    inv_sqrt_dh = 1.0 / float(np.sqrt(dh))
-    head_outputs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        q_h = ag.slice_cols(q_proj, lo, hi)
-        k_h = ag.slice_cols(k_proj, lo, hi)
-        v_h = ag.slice_cols(v_proj, lo, hi)
-        scores = ag.scale(ag.matmul(q_h, ag.transpose(k_h)), inv_sqrt_dh)
-        if bias_tensor is not None:
-            scores = ag.add(scores, bias_tensor)
-        weights = ag.softmax(scores)
-        head_outputs.append(ag.matmul(weights, v_h))
-
-    merged = head_outputs[0] if heads == 1 else ag.concat_cols(head_outputs)
+    q_rows = ag.reshape(q_seq, (b * t_q, c_q)) if batched else q_seq
+    kv_rows = ag.reshape(kv_seq, (b * t_kv, c_kv)) if batched else kv_seq
+    q_proj = ag.add(ag.matmul(q_rows, params.w_q), params.b_q)
+    k_proj = ag.add(ag.matmul(kv_rows, params.w_k), params.b_k)
+    v_proj = ag.add(ag.matmul(kv_rows, params.w_v), params.b_v)
+    merged = ag.attention(q_proj, k_proj, v_proj, batch=b, heads=heads, kv_mask=kv_mask)
     projected = ag.add(ag.matmul(merged, params.w_o), params.b_o)
     projected = ag.dropout(projected, dropout_p, rng)
-    residual = ag.add(projected, q_proj)
-    return ag.layer_norm(residual, params.gamma, params.beta)
+    out = ag.layer_norm(ag.add(projected, q_proj), params.gamma, params.beta)
+    return ag.reshape(out, (b, t_q, d)) if batched else out
 
 
-def _sequence_arrays(vf: VideoFeatures, config: ModelConfig, dtype) -> dict[str, np.ndarray]:
+def _batch_arrays(
+    videos: Sequence[VideoFeatures], config: ModelConfig
+) -> tuple[dict[str, np.ndarray], dict[str, Optional[np.ndarray]]]:
+    """Stacked [B, T, C] sequences and [B, s] sentiment rows, plus row masks.
+
+    clip and beats hold n rows per video, so they need no mask. Expression
+    is zero-padded to the longest expression sequence in the batch, with a
+    [B, T] mask of real rows; a video with no detected face keeps a single
+    zero row, counted as real, which keeps its branch shape-valid.
+    """
     dims = config.input_dims
-    seqs = {
-        "clip": np.asarray(vf.clip, dtype=dtype),
-        "beats": np.asarray(vf.beats, dtype=dtype),
-    }
-    if vf.k > 0:
-        seqs["expression"] = np.asarray(vf.expression, dtype=dtype)
-    else:
-        # No detected faces: a single zero row keeps the branch shape-valid.
-        seqs["expression"] = np.zeros((1, dims["expression"]), dtype=dtype)
-    for name, seq in seqs.items():
-        if seq.shape[1] != dims[name]:
+    for vf in videos:
+        if vf.n_stored != config.n:
             raise ag.ShapeError(
-                f"modality {name!r}: channel dim {seq.shape[1]} does not match config {dims[name]}"
+                f"video {vf.video_id!r} has {vf.n_stored} frames; sample to n={config.n} first"
             )
-    return seqs
+        for name, got in vf.channel_dims().items():
+            # A faceless video's (0, C) expression array is never read.
+            if got != dims[name] and (vf.k or name != "expression"):
+                raise ag.ShapeError(
+                    f"modality {name!r}: channel dim {got} does not match config {dims[name]}"
+                )
+    arrays = {
+        name: np.stack([getattr(vf, name) for vf in videos])
+        for name in ("clip", "beats", "ocr_sentiment", "asr_sentiment")
+    }
+    lengths = np.array([max(vf.k, 1) for vf in videos])
+    expression = np.zeros((len(videos), int(lengths.max()), dims["expression"]), np.float32)
+    for row, vf in zip(expression, videos):
+        if vf.k:
+            row[: vf.k] = vf.expression
+    arrays["expression"] = expression
+    valid = np.arange(expression.shape[1]) < lengths[:, None]
+    return arrays, {"clip": None, "beats": None, "expression": valid}
 
 
 def forward(
-    vf: VideoFeatures,
+    videos: Sequence[VideoFeatures],
     params: FusionParams,
     config: ModelConfig,
     rng: Optional[SplitMix64] = None,
 ) -> Tensor:
-    """Class probabilities for one sampled, normalized video.
+    """[B, 6] class probabilities for a batch of sampled, normalized videos.
 
-    Dropout fires only inside a TRAINING graph, in which case `rng` must
-    be supplied; inference-mode calls are deterministic.
+    One pass serves the whole batch; a video's row does not depend on its
+    batchmates beyond floating-point rounding. Dropout fires only inside a
+    TRAINING graph, in which case `rng` must be supplied; inference-mode
+    calls are deterministic.
     """
+    if len(videos) == 0:
+        raise ValueError("forward needs at least one video")
     dtype = params.w_head.data.dtype
-    if vf.n_stored != config.n:
-        raise ag.ShapeError(
-            f"video {vf.video_id!r} has {vf.n_stored} frames; sample to n={config.n} first"
-        )
-    seqs = _sequence_arrays(vf, config, dtype)
-    for name in ("ocr_sentiment", "asr_sentiment"):
-        got = getattr(vf, name).shape[0]
-        if got != config.input_dims[name]:
-            raise ag.ShapeError(
-                f"modality {name!r}: dim {got} does not match config {config.input_dims[name]}"
-            )
+    arrays, masks = _batch_arrays(videos, config)
+    seqs = {name: Tensor(arrays[name], dtype=dtype) for name in SEQUENTIAL_MODALITIES}
 
-    pooled = []
+    columns = []
     for pair_idx, (q_name, kv_name) in enumerate(config.pairings):
         attn = cross_attention(
-            Tensor(seqs[q_name], dtype=dtype),
-            Tensor(seqs[kv_name], dtype=dtype),
+            seqs[q_name],
+            seqs[kv_name],
             params.pairings[pair_idx],
             heads=config.heads,
             dropout_p=config.dropout_p,
             rng=rng,
+            kv_mask=masks[kv_name],
         )
-        pooled.append(ag.mean_pool(attn))
+        columns.append(ag.mean_pool(attn, valid=masks[q_name]))
+    for name in ("ocr_sentiment", "asr_sentiment"):
+        columns.append(Tensor(arrays[name], dtype=dtype))
 
-    video_vec = ag.concat(
-        pooled
-        + [
-            Tensor(np.asarray(vf.ocr_sentiment, dtype=dtype), dtype=dtype),
-            Tensor(np.asarray(vf.asr_sentiment, dtype=dtype), dtype=dtype),
-        ]
-    )
-    row = ag.reshape(video_vec, (1, config.head_in_dim))
-    logits = ag.add(ag.matmul(row, params.w_head), params.b_head)
-    return ag.reshape(ag.softmax(logits), (config.class_count,))
+    video_rows = ag.concat_cols(columns)
+    # A video's logits must not depend on how many batchmates it has.
+    logits = ag.add(ag.matmul(video_rows, params.w_head, row_independent=True), params.b_head)
+    return ag.softmax(logits)
 
 
 # ---------------------------------------------------------------------------

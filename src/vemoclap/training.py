@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from .rng import SplitMix64
 
 log = logging.getLogger(__name__)
 
+# Videos per forward pass in evaluate(); a fixed chunk, not a setting.
+EVAL_BATCH = 32
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -39,7 +42,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
-    grad_clip_norm: Optional[float] = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -125,15 +127,6 @@ def adam_step(
         tensor.data -= dt(config.lr) * m_hat / (np.sqrt(v_hat) + dt(config.eps_adam))
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = float(sum(float(np.sum(np.square(g, dtype=np.float64))) for g in grads.values()))
-    norm = np.sqrt(total)
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for g in grads.values():
-            g *= g.dtype.type(factor)
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -179,8 +172,16 @@ def predict_probs(
     vf: VideoFeatures, params: FusionParams, config: ModelConfig, stats: ModalityStats
 ) -> np.ndarray:
     """Inference-mode probabilities with equidistant sampling (test conditions)."""
-    idx = sample_indices(vf.n_stored, config.n, mode="equidistant")
-    prepared = _prepare(vf, idx, stats)
+    return _predict_batch([vf], params, config, stats)[0]
+
+
+def _predict_batch(
+    videos: Sequence[VideoFeatures], params: FusionParams, config: ModelConfig, stats: ModalityStats
+) -> np.ndarray:
+    prepared = [
+        _prepare(vf, sample_indices(vf.n_stored, config.n, mode="equidistant"), stats)
+        for vf in videos
+    ]
     with Graph(Mode.INFERENCE):
         return forward(prepared, params, config).data.copy()
 
@@ -208,23 +209,28 @@ def evaluate(
     config: ModelConfig,
     stats: ModalityStats,
 ) -> EvalResult:
-    """Accuracy plus per-video predictions under test-time conditions."""
+    """Accuracy plus per-video predictions under test-time conditions.
+
+    Runs the forward pass EVAL_BATCH videos at a time; each video's
+    probabilities match its single-video prediction up to rounding.
+    """
     if not videos:
         raise ValueError("evaluate needs at least one video")
-    ids, truth, preds, probs = [], [], [], []
-    for vf in videos:
-        label, p = predict_label(vf, params, config, stats)
-        ids.append(vf.video_id)
-        truth.append(int(vf.label))
-        preds.append(label)
-        probs.append(p)
+    probs = np.concatenate(
+        [
+            _predict_batch(videos[start:start + EVAL_BATCH], params, config, stats)
+            for start in range(0, len(videos), EVAL_BATCH)
+        ]
+    )
+    truth = [int(vf.label) for vf in videos]
+    preds = [int(label) for label in np.argmax(probs, axis=1)]
     correct = sum(1 for t, p in zip(truth, preds) if t == p)
     return EvalResult(
         accuracy=correct / len(videos),
-        video_ids=ids,
+        video_ids=[vf.video_id for vf in videos],
         true_labels=truth,
         predicted_labels=preds,
-        probabilities=np.stack(probs),
+        probabilities=probs,
     )
 
 
@@ -270,8 +276,7 @@ def train(
                 batch.append(_prepare(vf, idx, stats))
             dropout_rng = epoch_rng.derive("dropout", int(start))
             with Graph(Mode.TRAINING) as graph:
-                rows = [forward(vf, params, model_config, rng=dropout_rng) for vf in batch]
-                probs = ag.stack_rows(rows)
+                probs = forward(batch, params, model_config, rng=dropout_rng)
                 loss = cross_entropy(probs, [int(vf.label) for vf in batch])
             if not np.isfinite(loss.data):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
@@ -280,8 +285,6 @@ def train(
             grads = {
                 name: t.grad for name, t in params.named_tensors() if t.grad is not None
             }
-            if train_config.grad_clip_norm is not None:
-                _clip_gradients(grads, train_config.grad_clip_norm)
             adam_step(params, grads, state, train_config)
             loss_sum += float(loss.data) * len(batch)
             seen += len(batch)

@@ -88,6 +88,16 @@ def test_matmul_gradient_matches_finite_differences(rng):
     assert max_rel_err(b.grad, finite_difference(loss, b.data)) < 1e-4
 
 
+def test_matmul_row_independent_rows_ignore_batchmates(rng):
+    a = rng.uniform(0.0, 1.0, (32, 2560)).astype(np.float32)
+    b = rng.uniform(-0.05, 0.05, (2560, 6)).astype(np.float32)
+    full = ag.matmul(Tensor(a), Tensor(b), row_independent=True).data
+    assert np.allclose(full, a.astype(np.float64) @ b.astype(np.float64), rtol=0.0, atol=1e-5)
+    for i in range(32):
+        alone = ag.matmul(Tensor(a[i:i + 1]), Tensor(b), row_independent=True).data
+        assert np.array_equal(alone[0], full[i])
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
@@ -313,6 +323,18 @@ def test_slice_and_concat_cols_roundtrip(rng):
     assert np.array_equal(x.grad, np.ones_like(x.data))
 
 
+def test_attention_rejects_bad_shapes_and_fully_masked_sequences():
+    q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
+    with pytest.raises(ShapeError, match="split"):
+        ag.attention(q, kv, kv, batch=4, heads=2)
+    with pytest.raises(ShapeError, match="heads"):
+        ag.attention(q, kv, kv, batch=2, heads=3)
+    with pytest.raises(ShapeError, match="kv_mask"):
+        ag.attention(q, kv, kv, batch=2, heads=2, kv_mask=np.ones((2, 2), dtype=bool))
+    with pytest.raises(DegenerateInputError):
+        ag.attention(q, kv, kv, batch=2, heads=2, kv_mask=np.array([[True] * 3, [False] * 3]))
+
+
 # ---------------------------------------------------------------------------
 # backward semantics
 
@@ -508,10 +530,28 @@ _V12 = _R.standard_normal(12)
 _GAMMA = _R.uniform(0.5, 1.5, 4)
 _BETA = _R.standard_normal(4)
 _MASK3 = np.array([True, False, True])
+_MASK23 = np.array([[True, False, True], [True, True, False]])
+_W24 = _R.standard_normal((2, 4))
+# attention: 2 sequences, 2 query rows and 3 key/value rows each, width 4
+# split into 2 heads; one key/value row per sequence is masked.
+_ATT_Q = _R.standard_normal((4, 4))
+_ATT_K = _R.standard_normal((6, 4))
+_ATT_V = _R.standard_normal((6, 4))
+_ATT_W = _R.standard_normal((4, 4))
+_ATT_MASK = np.array([[True, False, True], [False, True, True]])
+
+
+def _attention(q, k, v):
+    return ag.attention(q, k, v, batch=2, heads=2, kv_mask=_ATT_MASK)
+
 
 OP_SWEEP = {
     "matmul_left": ((3, 4), lambda x: _weighted(ag.matmul(x, t64(_W42)), _W32)),
     "matmul_right": ((4, 2), lambda x: _weighted(ag.matmul(t64(_W34), x), _W32)),
+    "matmul_row_independent": (
+        (3, 4),
+        lambda x: _weighted(ag.matmul(x, t64(_W42), row_independent=True), _W32),
+    ),
     "transpose": ((3, 4), lambda x: _weighted(ag.transpose(x), _W43)),
     "add_same": ((3, 4), lambda x: _weighted(ag.add(x, t64(_W34)), _W34)),
     "add_bias": ((4,), lambda x: _weighted(ag.add(t64(_W34), x), _W34)),
@@ -527,6 +567,13 @@ OP_SWEEP = {
     ),
     "mean_pool": ((3, 4), lambda x: _weighted(ag.mean_pool(x), _V4)),
     "mean_pool_masked": ((3, 4), lambda x: _weighted(ag.mean_pool(x, valid=_MASK3), _V4)),
+    "mean_pool_batched_masked": (
+        (2, 3, 4),
+        lambda x: _weighted(ag.mean_pool(x, valid=_MASK23), _W24),
+    ),
+    "attention_q": ((4, 4), lambda x: _weighted(_attention(x, t64(_ATT_K), t64(_ATT_V)), _ATT_W)),
+    "attention_k": ((6, 4), lambda x: _weighted(_attention(t64(_ATT_Q), x, t64(_ATT_V)), _ATT_W)),
+    "attention_v": ((6, 4), lambda x: _weighted(_attention(t64(_ATT_Q), t64(_ATT_K), x), _ATT_W)),
     "concat": ((4,), lambda x: _weighted(ag.concat([x, t64(_V3)]), np.arange(7.0))),
     "concat_cols": ((3, 4), lambda x: _weighted(ag.concat_cols([x, t64(_W32)]), np.hstack([_W34, _W32]))),
     "stack_rows": ((4,), lambda x: _weighted(ag.stack_rows([x, t64(_V4)]), np.stack([_V4, _V4 + 1]))),

@@ -6,6 +6,7 @@ import pytest
 import vemoclap.autograd as ag
 from vemoclap.autograd import DegenerateInputError, Graph, Mode, ShapeError, Tensor
 from vemoclap.model import (
+    DEFAULT_PAIRINGS,
     AttentionParams,
     ConfigError,
     ModelConfig,
@@ -17,6 +18,7 @@ from vemoclap.model import (
     save_checkpoint,
 )
 from vemoclap.rng import SplitMix64
+from vemoclap.training import cross_entropy
 
 from conftest import make_video, tiny_config, tiny_dims
 
@@ -270,8 +272,8 @@ def test_forward_outputs_probability_vector(rng):
     config = tiny_config()
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=2)
-    probs = forward(vf, params, config)
-    assert probs.shape == (6,)
+    probs = forward([vf], params, config)
+    assert probs.shape == (1, 6)
     assert np.all(probs.data >= 0.0)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
@@ -280,7 +282,7 @@ def test_forward_handles_zero_expression_rows(rng):
     config = tiny_config()
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=0)
-    probs = forward(vf, params, config)
+    probs = forward([vf], params, config)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
 
@@ -289,19 +291,137 @@ def test_forward_inference_is_bitwise_deterministic(rng):
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=1)
     with Graph(Mode.INFERENCE):
-        a = forward(vf, params, config)
-        b = forward(vf, params, config)
+        a = forward([vf], params, config)
+        b = forward([vf], params, config)
     assert a.data.tobytes() == b.data.tobytes()
 
 
+# Pairings that put expression (the only padded modality) on the query
+# side only (the default) and on both sides.
+PAD_PAIRINGS = {
+    "default": DEFAULT_PAIRINGS,
+    "expression_kv": (("clip", "expression"), ("beats", "clip"), ("expression", "beats")),
+}
+BATCH_TOL = {np.float32: 1e-6, np.float64: 1e-10}
+
+
+def mixed_batch(rng, n, count=9):
+    """Videos with k = 0, 1, ..., n faces (cycled), so most are padded."""
+    return [
+        make_video(rng, n_stored=n, k=i % (n + 1), label=i % 6, video_id=f"v{i}")
+        for i in range(count)
+    ]
+
+
 def test_forward_batching_consistency(rng):
-    config = tiny_config()
+    for pairings in PAD_PAIRINGS.values():
+        for dtype, tol in BATCH_TOL.items():
+            config = ModelConfig(
+                input_dims=tiny_dims(), d=8, heads=2, dropout_p=0.0, n=4, pairings=pairings
+            )
+            params = init_params(config, seed=0, dtype=dtype)
+            videos = mixed_batch(rng, config.n)
+            assert len({vf.k for vf in videos}) == config.n + 1
+            batch_rows = forward(videos, params, config)
+            assert batch_rows.shape == (len(videos), 6)
+            for i, vf in enumerate(videos):
+                single = forward([vf], params, config)
+                assert np.allclose(single.data[0], batch_rows.data[i], rtol=0.0, atol=tol)
+
+
+def test_forward_batch_permutation_permutes_rows(rng):
+    config = ModelConfig(
+        input_dims=tiny_dims(), d=8, heads=2, dropout_p=0.0, n=4,
+        pairings=PAD_PAIRINGS["expression_kv"],
+    )
+    for dtype, tol in BATCH_TOL.items():
+        params = init_params(config, seed=3, dtype=dtype)
+        videos = mixed_batch(rng, config.n)
+        base = forward(videos, params, config).data
+        for trial in range(5):
+            perm = np.random.default_rng(trial).permutation(len(videos))
+            permuted = forward([videos[i] for i in perm], params, config).data
+            assert np.allclose(permuted, base[perm], rtol=0.0, atol=tol)
+
+
+def test_padded_rows_get_zero_weight_and_zero_gradient():
+    p = f64_pairing_params(seed=9, d=8, heads=2, dq=5, dkv=3)
+    rng = np.random.default_rng(6)
+    q_valid = np.array([[True, True, True, False], [True, False, False, False]])
+    kv_valid = np.array([[True, True, False], [True, True, True]])
+    q_data = rng.standard_normal((2, 4, 5))
+    kv_data = rng.standard_normal((2, 3, 3))
+    w = rng.standard_normal((2, 8))
+
+    def pooled(q_arr, kv_arr, requires_grad=False):
+        q_seq = Tensor(q_arr, requires_grad=requires_grad, dtype=np.float64)
+        kv_seq = Tensor(kv_arr, requires_grad=requires_grad, dtype=np.float64)
+        with Graph(Mode.TRAINING) as g:
+            out = ag.mean_pool(cross_attention(q_seq, kv_seq, p, heads=2, kv_mask=kv_valid), q_valid)
+            loss = ag.sum_all(ag.mul(out, Tensor(w, dtype=np.float64)))
+        return out, loss, g, q_seq, kv_seq
+
+    base, loss, g, q_seq, kv_seq = pooled(q_data, kv_data, requires_grad=True)
+    g.backward(loss)
+    # Padded rows get exactly zero gradient; real rows do get some.
+    assert np.all(q_seq.grad[~q_valid] == 0.0)
+    assert np.all(kv_seq.grad[~kv_valid] == 0.0)
+    assert np.all(np.abs(q_seq.grad[q_valid]).sum(axis=-1) > 0.0)
+    assert np.all(np.abs(kv_seq.grad[kv_valid]).sum(axis=-1) > 0.0)
+
+    # Zero weight: whatever the padded rows hold, the pooled output is the same.
+    q_junk, kv_junk = q_data.copy(), kv_data.copy()
+    q_junk[~q_valid] = 1e3 * rng.standard_normal((int((~q_valid).sum()), 5))
+    kv_junk[~kv_valid] = 1e3 * rng.standard_normal((int((~kv_valid).sum()), 3))
+    assert np.array_equal(pooled(q_junk, kv_junk)[0].data, base.data)
+
+
+def test_padded_key_rows_get_exactly_zero_attention_weight():
+    rng = np.random.default_rng(8)
+    mask = np.array([[True, False, True, False], [True, True, True, False]])
+    q = Tensor(rng.standard_normal((2 * 3, 4)), dtype=np.float64)
+    k = Tensor(rng.standard_normal((2 * 4, 4)), dtype=np.float64)
+    # With v = one-hot key-row indicators, the output holds the weights.
+    for row in range(4):
+        v_data = np.zeros((2 * 4, 4))
+        v_data[row::4] = 1.0
+        weights = ag.attention(q, k, Tensor(v_data, dtype=np.float64), batch=2, heads=2,
+                               kv_mask=mask).data.reshape(2, 3, 4)
+        assert np.all(weights[~mask[:, row]] == 0.0)
+        assert np.all(weights[mask[:, row]] > 0.0)
+
+
+def test_tape_size_does_not_grow_with_batch(rng):
+    config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
-    videos = [make_video(rng, n_stored=config.n, k=i % 3, video_id=f"v{i}") for i in range(8)]
-    batch_rows = ag.stack_rows([forward(vf, params, config) for vf in videos])
-    for i, vf in enumerate(videos):
-        single = forward(vf, params, config)
-        assert np.allclose(single.data, batch_rows.data[i], atol=1e-6)
+    videos = mixed_batch(rng, config.n, count=8)
+    sizes = []
+    for batch in (videos[:1], videos):
+        with Graph(Mode.TRAINING) as g:
+            probs = forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
+            cross_entropy(probs, [int(vf.label) for vf in batch])
+        sizes.append(len(g))
+    assert sizes[0] == sizes[1] < 100, sizes
+
+
+def test_forward_gradients_through_padding_match_finite_differences(rng):
+    config = ModelConfig(
+        input_dims=tiny_dims(4), d=4, heads=2, dropout_p=0.0, n=3,
+        pairings=PAD_PAIRINGS["expression_kv"],
+    )
+    params = init_params(config, seed=4, dtype=np.float64)
+    videos = [
+        make_video(rng, n_stored=3, k=k, dims=tiny_dims(4), label=i, video_id=f"g{i}")
+        for i, k in enumerate((0, 1, 3))
+    ]
+    labels = [int(vf.label) for vf in videos]
+
+    def loss_fn(_ignored):
+        return cross_entropy(forward(videos, params, config), labels)
+
+    for name, tensor in params.named_tensors():
+        report = ag.grad_check(loss_fn, tensor, eps=1e-4, tol=1e-4)
+        assert report.passed, (name, str(report))
 
 
 def test_forward_rejects_wrong_channel_dim(rng):
@@ -311,7 +431,7 @@ def test_forward_rejects_wrong_channel_dim(rng):
     bad_dims["clip"] = 5
     vf = make_video(rng, n_stored=config.n, k=1, dims=bad_dims)
     with pytest.raises(ShapeError):
-        forward(vf, params, config)
+        forward([vf], params, config)
 
 
 def test_forward_rejects_unsampled_video(rng):
@@ -319,7 +439,7 @@ def test_forward_rejects_unsampled_video(rng):
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=9, k=1)
     with pytest.raises(ShapeError, match="sample"):
-        forward(vf, params, config)
+        forward([vf], params, config)
 
 
 def test_forward_dropout_needs_rng_in_training(rng):
@@ -328,9 +448,9 @@ def test_forward_dropout_needs_rng_in_training(rng):
     vf = make_video(rng, n_stored=config.n, k=1)
     with Graph(Mode.TRAINING):
         with pytest.raises(ValueError, match="rng"):
-            forward(vf, params, config)
-        probs = forward(vf, params, config, rng=SplitMix64(0).derive("drop"))
-    assert probs.shape == (6,)
+            forward([vf], params, config)
+        probs = forward([vf], params, config, rng=SplitMix64(0).derive("drop"))
+    assert probs.shape == (1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +514,7 @@ def test_custom_pairing_scheme_runs_and_checkpoints(tmp_path, rng):
     )
     params = init_params(config, seed=2)
     vf = make_video(rng, n_stored=4, k=2)
-    probs = forward(vf, params, config)
+    probs = forward([vf], params, config)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
     path = tmp_path / "custom.ckpt"

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import vemoclap.autograd as ag
 from vemoclap.autograd import Graph, Mode, Tensor
 from vemoclap.dataset import compute_stats, normalize_features
 from vemoclap.model import forward, init_params
@@ -187,7 +186,7 @@ def test_loss_strictly_decreases_on_fixed_batch():
     losses = []
     for _ in range(10):
         with Graph(Mode.TRAINING) as g:
-            probs = ag.stack_rows([forward(vf, params, config) for vf in batch])
+            probs = forward(batch, params, config)
             loss = cross_entropy(probs, labels)
         params.zero_grad()
         g.backward(loss)
