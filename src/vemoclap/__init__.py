@@ -18,7 +18,6 @@ from .dataset import (
     build_app_split,
     carve_validation,
     compute_stats,
-    denormalize,
     merge_face_features,
     normalize,
     sample_indices,
@@ -49,7 +48,6 @@ __all__ = [
     "compute_stats",
     "cross_attention",
     "cross_entropy",
-    "denormalize",
     "evaluate",
     "forward",
     "grad_check",

@@ -1,8 +1,9 @@
 """Dense-tensor numeric core with reverse-mode automatic differentiation.
 
 Just enough machinery to express and train the fusion classifier: 2-D
-matmul, batched multi-head attention, softmax, layer norm, dropout,
-temporal pooling, concatenation and a handful of pointwise/reduction ops.
+matmul with an optional fused bias, batched multi-head attention,
+softmax, layer norm, dropout, temporal pooling, concatenation and a
+handful of pointwise/reduction ops.
 Values are float32 by default; float64 is supported so gradient
 verification can run at full precision.
 
@@ -15,6 +16,16 @@ in exact reverse execution order and accumulates gradients into
 ``Tensor.grad``. With no active graph, or in INFERENCE mode, nothing is
 recorded and no gradient buffers are allocated.
 
+Gradient ownership
+------------------
+Backward hands each gradient array over as is: a tensor's ``.grad`` is
+the very array a vjp returned (or the sum of several), not a copy, and it
+may share memory with other tensors' gradients (``reshape`` returns a view
+in both directions). Only when one array object would become the
+``.grad`` of a second tensor in the same backward is it copied. So nothing
+may write into a ``.grad`` or a vjp's input or output in place: read
+gradients, or replace them (``t.grad = t.grad + g``), never mutate them.
+
 NaN/Inf anywhere is a hard error at op boundaries: tensors are validated
 at construction and every op validates its output, so divergence surfaces
 at the op that produced it.
@@ -25,6 +36,7 @@ forward/backward pass; independent graphs may run on separate threads.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -106,25 +118,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad = self.grad + g
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # Thin operator sugar over the functional ops.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 @dataclass
@@ -169,7 +165,10 @@ class Graph:
         """Populate .grad on every requires_grad tensor reachable from loss.
 
         Walks the tape in exact reverse execution order. Repeated calls
-        accumulate into existing gradients.
+        accumulate into existing gradients. Gradient arrays become .grad
+        without a copy (see "Gradient ownership" in the module docstring):
+        a copy is made only when the same array object would otherwise be
+        the .grad of two tensors, as when `add` hands `g` to both operands.
         """
         if self.mode is not Mode.TRAINING:
             raise GraphUsageError("backward requires a TRAINING-mode graph")
@@ -178,6 +177,17 @@ class Graph:
         if not loss.requires_grad:
             raise GraphUsageError("loss does not depend on any requires_grad tensor recorded here")
 
+        owned: set[int] = set()  # ids of the arrays handed out as .grad so far
+
+        def hand_over(t: Tensor, g: np.ndarray) -> None:
+            if t.grad is not None:
+                t.grad = t.grad + g
+                return
+            if id(g) in owned:
+                g = g.copy()
+            owned.add(id(g))
+            t.grad = g
+
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
         holders: dict[int, Tensor] = {id(loss): loss}
         for entry in reversed(self._tape):
@@ -185,7 +195,7 @@ class Graph:
             if g_out is None:
                 continue
             if entry.out.requires_grad:
-                entry.out._accumulate_grad(g_out)
+                hand_over(entry.out, g_out)
             for t, g_in in zip(entry.inputs, entry.vjp(g_out)):
                 if g_in is None:
                     continue
@@ -197,15 +207,7 @@ class Graph:
         for key, g in flowing.items():
             t = holders[key]
             if t.requires_grad:
-                t._accumulate_grad(g)
-
-
-def backward(loss: Tensor, graph: Optional[Graph] = None) -> None:
-    """Free-function form of Graph.backward; defaults to the active graph."""
-    g = graph or active_graph()
-    if g is None:
-        raise GraphUsageError("no graph supplied and none is active")
-    g.backward(loss)
+                hand_over(t, g)
 
 
 def _recording() -> Optional[Graph]:
@@ -239,8 +241,14 @@ def _same_dtype(*tensors: Tensor):
 # Ops
 
 
-def matmul(a: Tensor, b: Tensor, row_independent: bool = False) -> Tensor:
-    """2-D matrix product with da = g @ b.T and db = a.T @ g.
+def matmul(
+    a: Tensor, b: Tensor, bias: Optional[Tensor] = None, *, row_independent: bool = False
+) -> Tensor:
+    """2-D matrix product plus an optional bias row: a @ b + bias.
+
+    da = g @ b.T, db = a.T @ g and dbias = g.sum(axis=0). The [n] bias is
+    added in place into the fresh product, the same rounding as a
+    separate `add` but with one pass and one tape entry fewer.
 
     BLAS picks its kernel by operand shape, so a row of a @ b can round
     differently when a has 1 row than when it has 32. `row_independent`
@@ -256,12 +264,24 @@ def matmul(a: Tensor, b: Tensor, row_independent: bool = False) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
+    out = (ad[:, None, :] * bd.T[None, :, :]).sum(axis=-1) if row_independent else ad @ bd
+    inputs: tuple[Tensor, ...] = (a, b)
+    if bias is not None:
+        _same_dtype(a, bias)
+        if bias.shape != (b.shape[1],):
+            raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), got {bias.shape}")
+        out += bias.data
+        inputs = (a, b, bias)
+    nbias = bias is not None and bias.requires_grad
 
     def vjp(g):
-        return (g @ bd.T if na else None, ad.T @ g if nb else None)
+        return (
+            g @ bd.T if na else None,
+            ad.T @ g if nb else None,
+            g.sum(axis=0) if nbias else None,
+        )
 
-    out = (ad[:, None, :] * bd.T[None, :, :]).sum(axis=-1) if row_independent else ad @ bd
-    return _emit(out, (a, b), vjp, "matmul")
+    return _emit(out, inputs, vjp, "matmul")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -370,7 +390,12 @@ def dropout(x: Tensor, p: float, rng: Optional[SplitMix64] = None) -> Tensor:
         return x
     if rng is None:
         raise ValueError("dropout with p > 0 in TRAINING mode requires an rng")
-    keep = rng.random(x.shape) >= p
+    # rng.random(shape) >= p, decided on the raw draws: random() is
+    # (raw >> 11) * 2**-53, and for an integer u, u * 2**-53 >= p exactly
+    # when u >= ceil(p * 2**53), i.e. raw >= ceil(p * 2**53) << 11 (which
+    # fits in 64 bits because p < 1). One draw per element, same order.
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    keep = (rng.next_raw(x.size) >= threshold).reshape(x.shape)
     scaled_mask = keep.astype(x.dtype) / x.dtype.type(1.0 - p)
     return _emit(x.data * scaled_mask, (x,), lambda g: (g * scaled_mask,), "dropout")
 
@@ -549,7 +574,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     old = x.shape
-    return _emit(x.data.reshape(shape).copy(), (x,), lambda g: (g.reshape(old),), "reshape")
+    # A view both ways; see "Gradient ownership" in the module docstring.
+    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape")
 
 
 def log(x: Tensor) -> Tensor:
@@ -595,16 +621,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.full(xd.shape, g, dtype=xd.dtype),)
 
     return _emit(np.asarray(xd.sum(), dtype=x.dtype), (x,), vjp, "sum_all")
-
-
-def mean_all(x: Tensor) -> Tensor:
-    xd = x.data
-    inv = 1.0 / xd.size
-
-    def vjp(g):
-        return (np.full(xd.shape, g * xd.dtype.type(inv), dtype=xd.dtype),)
-
-    return _emit(np.asarray(xd.mean(), dtype=x.dtype), (x,), vjp, "mean_all")
 
 
 # ---------------------------------------------------------------------------

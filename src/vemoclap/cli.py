@@ -9,7 +9,9 @@ leaves no partial outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import sys
 
 import numpy as np
@@ -42,6 +44,29 @@ from .synth import DEFAULT_DIMS, synth_dataset
 from .training import TrainConfig, cross_entropy, evaluate, predict_label, train, write_history
 
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
+@contextlib.contextmanager
+def _logs_to_stderr(level):
+    """Route the package's log records at `level` and above to stderr for
+    the duration of one command; without a level, logging is left alone."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("vemoclap")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.setLevel(level)
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def _parse_pairings(text: str) -> tuple[tuple[str, str], ...]:
     """Parse 'clip:beats,beats:clip,expression:clip' into pairing tuples."""
     pairs = []
@@ -70,6 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vemoclap",
         description="Video emotion classification over pretrained multimodal features.",
+    )
+    parser.add_argument(
+        "--log-level",
+        choices=LOG_LEVELS,
+        help="show the package's log records at this level and above on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -360,7 +390,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with _logs_to_stderr(args.log_level):
+            return args.fn(args)
     except BrokenPipeError:
         return 1
     except Exception as exc:  # surface every failure as exit code + stderr line

@@ -31,6 +31,7 @@ Containers are immutable after write; concurrent readers are safe.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -266,7 +267,9 @@ class _Cursor:
         self.pos = 0
 
     def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.blob):
+        if count < 0:
+            raise SchemaError(f"negative size {count} for {what}")
+        if count > len(self.blob) - self.pos:
             raise TruncatedError(f"file ends inside {what} (wanted {count} bytes)")
         out = self.blob[self.pos:self.pos + count]
         self.pos += count
@@ -317,8 +320,8 @@ def read_blocks(path) -> list[RawEntry]:
                 raise SchemaError(f"JSON entry {name!r} must be 1-D byte-sized")
             payload = cur.take(dims[0], f"entry {name!r} payload")
         else:
-            values = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            payload = cur.take(values * PAYLOAD_DTYPE.itemsize, f"entry {name!r} payload")
+            # Python ints: a product of u32 dims cannot overflow here.
+            payload = cur.take(math.prod(dims) * PAYLOAD_DTYPE.itemsize, f"entry {name!r} payload")
         entries.append(RawEntry(name, presence, tuple(int(d) for d in dims), payload, frame_indices))
     if cur.pos != len(cur.blob):
         raise SchemaError(f"{len(cur.blob) - cur.pos} unexpected trailing bytes before checksum")
@@ -336,8 +339,7 @@ def json_entry(name: str, obj) -> RawEntry:
 
 
 def entry_array(entry: RawEntry) -> np.ndarray:
-    values = int(np.prod(entry.dims, dtype=np.int64)) if entry.dims else 1
-    if len(entry.payload) != values * PAYLOAD_DTYPE.itemsize:
+    if len(entry.payload) != math.prod(entry.dims) * PAYLOAD_DTYPE.itemsize:
         raise SchemaError(f"entry {entry.name!r}: payload size does not match dims {entry.dims}")
     arr = np.frombuffer(entry.payload, dtype=PAYLOAD_DTYPE).astype(np.float32)
     return arr.reshape(entry.dims)

@@ -163,10 +163,27 @@ def read_blacklist(path) -> list[str]:
 
 @dataclass
 class ModalityStats:
-    """Per-modality, per-channel min/max vectors from the training split."""
+    """Per-modality, per-channel min/max vectors from the training split.
+
+    Treated as read-only once built: `normalize` caches each modality's
+    span on first use.
+    """
 
     minima: dict[str, np.ndarray]
     maxima: dict[str, np.ndarray]
+    _spans: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def _span(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(max - min with constant channels set to 1, constant-channel
+        indices) for one modality, computed once."""
+        if name not in self._spans:
+            span = self.maxima[name] - self.minima[name]
+            degenerate = span == 0.0
+            safe_span = np.where(degenerate, np.float32(1.0), span)
+            self._spans[name] = (safe_span, np.flatnonzero(degenerate))
+        return self._spans[name]
 
     def channel_dims(self) -> dict[str, int]:
         return {name: int(v.shape[0]) for name, v in self.minima.items()}
@@ -275,24 +292,19 @@ def normalize(x: np.ndarray, name: str, stats: ModalityStats) -> np.ndarray:
     Constant channels (max == min) map to 0.5; values from outside the
     training range are clamped to [-1, 2].
     """
-    lo, hi = stats.minima[name], stats.maxima[name]
+    lo = stats.minima[name]
     x = np.asarray(x, dtype=np.float32)
     if x.shape[-1] != lo.shape[0]:
         raise ValueError(
             f"modality {name!r}: channel dim {x.shape[-1]} does not match stats dim {lo.shape[0]}"
         )
-    span = hi - lo
-    degenerate = span == 0.0
-    safe_span = np.where(degenerate, np.float32(1.0), span)
-    out = (x - lo) / safe_span
-    out = np.where(degenerate, np.float32(0.5), out)
-    return np.clip(out, *NORMALIZED_CLAMP).astype(np.float32)
-
-
-def denormalize(y: np.ndarray, name: str, stats: ModalityStats) -> np.ndarray:
-    """Inverse of `normalize` on non-degenerate channels inside the clamp range."""
-    lo, hi = stats.minima[name], stats.maxima[name]
-    return (np.asarray(y, dtype=np.float32) * (hi - lo) + lo).astype(np.float32)
+    safe_span, degenerate = stats._span(name)
+    out = x - lo
+    out /= safe_span
+    if degenerate.size:
+        out[..., degenerate] = 0.5
+    np.clip(out, *NORMALIZED_CLAMP, out=out)
+    return out.astype(np.float32, copy=False)
 
 
 def normalize_features(vf: VideoFeatures, stats: ModalityStats) -> VideoFeatures:

@@ -66,15 +66,6 @@ def confusion(preds: Sequence[int], labels: Sequence[int]) -> ConfusionMatrix:
     return ConfusionMatrix(counts)
 
 
-def accuracy(preds: Sequence[int], labels: Sequence[int]) -> float:
-    if len(preds) != len(labels):
-        raise ValueError(f"got {len(preds)} predictions for {len(labels)} labels")
-    if len(labels) < 1:
-        raise ValueError("need at least one (prediction, label) pair")
-    correct = sum(1 for p, t in zip(preds, labels) if int(p) == int(t))
-    return correct / len(labels)
-
-
 @dataclass
 class RunReport:
     accuracy: float

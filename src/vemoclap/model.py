@@ -236,8 +236,8 @@ def cross_attention(
     `kv_mask` ([B, Tkv], or [Tkv] for a 2-D pair), when given, marks
     attendable key/value rows with True; masked rows get a -1e9 score
     bias, which underflows to exactly zero weight after the softmax's
-    max-subtraction. Each projection is one matmul over the stacked
-    [B*T, C] rows; output projection, dropout (TRAINING graphs only),
+    max-subtraction. Each projection is one matmul with its bias fused,
+    over the stacked [B*T, C] rows; output projection, dropout (TRAINING graphs only),
     residual onto the projected query, then layer norm.
     """
     ndim = q_seq.data.ndim
@@ -267,11 +267,11 @@ def cross_attention(
 
     q_rows = ag.reshape(q_seq, (b * t_q, c_q)) if batched else q_seq
     kv_rows = ag.reshape(kv_seq, (b * t_kv, c_kv)) if batched else kv_seq
-    q_proj = ag.add(ag.matmul(q_rows, params.w_q), params.b_q)
-    k_proj = ag.add(ag.matmul(kv_rows, params.w_k), params.b_k)
-    v_proj = ag.add(ag.matmul(kv_rows, params.w_v), params.b_v)
+    q_proj = ag.matmul(q_rows, params.w_q, params.b_q)
+    k_proj = ag.matmul(kv_rows, params.w_k, params.b_k)
+    v_proj = ag.matmul(kv_rows, params.w_v, params.b_v)
     merged = ag.attention(q_proj, k_proj, v_proj, batch=b, heads=heads, kv_mask=kv_mask)
-    projected = ag.add(ag.matmul(merged, params.w_o), params.b_o)
+    projected = ag.matmul(merged, params.w_o, params.b_o)
     projected = ag.dropout(projected, dropout_p, rng)
     out = ag.layer_norm(ag.add(projected, q_proj), params.gamma, params.beta)
     return ag.reshape(out, (b, t_q, d)) if batched else out
@@ -349,7 +349,7 @@ def forward(
 
     video_rows = ag.concat_cols(columns)
     # A video's logits must not depend on how many batchmates it has.
-    logits = ag.add(ag.matmul(video_rows, params.w_head, row_independent=True), params.b_head)
+    logits = ag.matmul(video_rows, params.w_head, params.b_head, row_independent=True)
     return ag.softmax(logits)
 
 

@@ -67,10 +67,6 @@ class SplitMix64:
     def seed(self) -> int:
         return self._seed
 
-    def state(self) -> tuple[int, int]:
-        """(seed, counter) pair; `SplitMix64(*state)` resumes the stream."""
-        return (self._seed, self._counter)
-
     def derive(self, *tags) -> "SplitMix64":
         """Child stream keyed by the tag sequence.
 

@@ -98,6 +98,34 @@ def test_matmul_row_independent_rows_ignore_batchmates(rng):
         assert np.array_equal(alone[0], full[i])
 
 
+def test_matmul_bias_matches_separate_add_bit_for_bit(rng):
+    a_val = rng.standard_normal((5, 7)).astype(np.float32)
+    b_val = rng.standard_normal((7, 3)).astype(np.float32)
+    bias_val = rng.standard_normal(3).astype(np.float32)
+    w = Tensor(rng.standard_normal((5, 3)).astype(np.float32))
+    results = []
+    for fused in (True, False):
+        a, b, bias = (Tensor(v, requires_grad=True) for v in (a_val, b_val, bias_val))
+        with Graph(Mode.TRAINING) as g:
+            out = ag.matmul(a, b, bias) if fused else ag.add(ag.matmul(a, b), bias)
+            loss = ag.sum_all(ag.mul(out, w))
+        g.backward(loss)
+        results.append((len(g), out.data, a.grad, b.grad, bias.grad))
+    (fused_len, *fused), (plain_len, *plain) = results
+    assert fused_len == plain_len - 1
+    for x, y in zip(fused, plain):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_matmul_bias_shape_and_dtype_are_checked():
+    a = Tensor(np.ones((2, 3), dtype=np.float32))
+    b = Tensor(np.ones((3, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="bias"):
+        ag.matmul(a, b, Tensor(np.ones(3, dtype=np.float32)))
+    with pytest.raises(TypeError):
+        ag.matmul(a, b, Tensor(np.ones(4, dtype=np.float64)))
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
@@ -230,6 +258,46 @@ def test_dropout_rejects_bad_probability():
         ag.dropout(x, 1.0)
     with pytest.raises(ValueError):
         ag.dropout(x, -0.1)
+
+
+class _RawDraws:
+    """Stands in for SplitMix64: replays given raw draws, and computes
+    random() from them exactly as SplitMix64.random does."""
+
+    def __init__(self, raw):
+        self.raw = np.asarray(raw, dtype=np.uint64)
+
+    def next_raw(self, count):
+        assert count == self.raw.size
+        return self.raw
+
+    def random(self, shape):
+        return ((self.raw >> np.uint64(11)).astype(np.float64) * 2.0**-53).reshape(shape)
+
+
+DROPOUT_PS = (0.1, 0.5, 0.9, float(np.nextafter(1.0, 0.0)))
+
+
+@pytest.mark.parametrize("p", DROPOUT_PS)
+def test_dropout_keep_mask_equals_float_draws_against_p(p):
+    x = t64(np.ones((64, 33)))
+    with Graph(Mode.TRAINING):
+        out = ag.dropout(x, p, SplitMix64(77).derive("mask"))
+    expected = SplitMix64(77).derive("mask").random(x.shape) >= p
+    assert np.array_equal(out.data != 0.0, expected)
+
+
+@pytest.mark.parametrize("p", DROPOUT_PS)
+def test_dropout_keep_mask_is_exact_at_the_threshold(p):
+    # Raw draws on and next to the integer threshold, where a rounding
+    # slip would flip the decision.
+    edge = math.ceil(p * 2.0**53) << 11
+    raw = [v for v in (edge - 2049, edge - 2048, edge - 1, edge, edge + 1, edge + 2047, edge + 2048)
+           if 0 <= v < 2**64] + [0, 2**64 - 1]
+    x = t64(np.ones(len(raw)))
+    with Graph(Mode.TRAINING):
+        out = ag.dropout(x, p, _RawDraws(raw))
+    assert np.array_equal(out.data != 0.0, _RawDraws(raw).random(len(raw)) >= p)
 
 
 def test_dropout_backward_scales_by_saved_mask():
@@ -422,6 +490,20 @@ def test_linear_graph_matches_transpose_map_oracle(rng):
     assert np.array_equal(x.grad, oracle)
 
 
+def test_add_of_two_leaves_hands_each_its_own_gradient():
+    a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+    with Graph(Mode.TRAINING) as g:
+        total = ag.add(a, b)
+        loss = ag.sum_all(total)
+    g.backward(loss)
+    assert a.grad is not b.grad
+    assert total.grad is not a.grad and total.grad is not b.grad
+    a.grad[0, 0] = 5.0
+    assert np.array_equal(b.grad, np.ones((2, 3), dtype=np.float32))
+    assert np.array_equal(total.grad, np.ones((2, 3), dtype=np.float32))
+
+
 def test_duplicate_input_accumulates_both_paths():
     x = Tensor(np.array([[2.0]], dtype=np.float32), requires_grad=True)
     with Graph(Mode.TRAINING) as g:
@@ -538,6 +620,7 @@ _ATT_Q = _R.standard_normal((4, 4))
 _ATT_K = _R.standard_normal((6, 4))
 _ATT_V = _R.standard_normal((6, 4))
 _ATT_W = _R.standard_normal((4, 4))
+_V2 = _R.standard_normal(2)
 _ATT_MASK = np.array([[True, False, True], [False, True, True]])
 
 
@@ -551,6 +634,15 @@ OP_SWEEP = {
     "matmul_row_independent": (
         (3, 4),
         lambda x: _weighted(ag.matmul(x, t64(_W42), row_independent=True), _W32),
+    ),
+    "matmul_bias": ((2,), lambda x: _weighted(ag.matmul(t64(_W34), t64(_W42), x), _W32)),
+    "matmul_left_with_bias": (
+        (3, 4),
+        lambda x: _weighted(ag.matmul(x, t64(_W42), t64(_V2)), _W32),
+    ),
+    "matmul_row_independent_bias": (
+        (2,),
+        lambda x: _weighted(ag.matmul(t64(_W34), t64(_W42), x, row_independent=True), _W32),
     ),
     "transpose": ((3, 4), lambda x: _weighted(ag.transpose(x), _W43)),
     "add_same": ((3, 4), lambda x: _weighted(ag.add(x, t64(_W34)), _W34)),
@@ -583,7 +675,6 @@ OP_SWEEP = {
     "clamp_min": ((3, 4), lambda x: _weighted(ag.clamp_min(x, 0.2), _W34)),
     "take_per_row": ((3, 4), lambda x: ag.sum_all(ag.take_per_row(x, [2, 0, 3]))),
     "sum_all": ((3, 4), ag.sum_all),
-    "mean_all": ((3, 4), ag.mean_all),
 }
 
 
@@ -611,12 +702,3 @@ def test_backward_on_inference_graph_is_an_error():
         out = ag.scale(x, 2.0)
     with pytest.raises(GraphUsageError):
         g.backward(out)
-
-
-def test_operator_sugar_matches_functions(rng):
-    a = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
-    b = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
-    c = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
-    assert np.array_equal((a @ b).data, ag.matmul(a, b).data)
-    assert np.array_equal((a + c).data, ag.add(a, c).data)
-    assert np.array_equal((a * c).data, ag.mul(a, c).data)

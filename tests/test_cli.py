@@ -229,3 +229,20 @@ def test_train_with_custom_pairing(synth_dir, tmp_path, capsys):
 
     _, config, _ = load_checkpoint(ckpt)
     assert config.pairings == (("clip", "clip"), ("beats", "beats"), ("expression", "expression"))
+
+
+def test_log_level_shows_training_progress_on_stderr(synth_dir, tmp_path, capsys):
+    stats_path = tmp_path / "stats.json"
+    run(["stats", "--manifest", str(synth_dir / "manifest.csv"), "--out", str(stats_path)], capsys)
+    argv = [
+        "train", "--manifest", str(synth_dir / "manifest.csv"), "--stats", str(stats_path),
+        "--out", str(tmp_path / "model.ckpt"), "--n", "4", "--dim", "8", "--heads", "2",
+        "--dropout", "0.0", "--max-epochs", "1", "--val-fraction", "0.25",
+    ]
+    code, _, err = run(["--log-level", "INFO", *argv], capsys)
+    assert code == 0, err
+    assert "epoch 1: train loss" in err
+    # Without the option the CLI leaves logging alone: no INFO records.
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert "epoch 1: train loss" not in err

@@ -7,7 +7,9 @@ import pytest
 from vemoclap.container import (
     BadMagicError,
     ChecksumError,
+    ContainerError,
     EmotionLabel,
+    RawEntry,
     SchemaError,
     TruncatedError,
     VersionError,
@@ -199,3 +201,33 @@ def test_json_entry_round_trip(tmp_path):
 
     assert entry_json(back[0]) == payload
     assert np.array_equal(entry_array(back[1]), np.eye(2, dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        # 2**31 * 2**31 * 4 wraps to 0 in int64: parsed as an empty entry.
+        (2**31, 2**31, 4),
+        # (2**32 - 1)**4 * 4 wraps negative in int64: the cursor moved back.
+        (2**32 - 1,) * 4,
+    ],
+)
+def test_crafted_dims_overflowing_int64_fail_with_container_error(tmp_path, dims):
+    path = tmp_path / "crafted.vmf"
+    # write_blocks stores the dims as given and a valid crc32 over them.
+    write_blocks(path, [RawEntry("clip", 1, dims, b"")])
+    with pytest.raises(ContainerError) as caught:
+        read_blocks(path)
+    # The payload these dims declare is larger than the file.
+    assert isinstance(caught.value, TruncatedError), caught.value
+
+
+def test_cursor_rejects_negative_and_oversized_counts():
+    from vemoclap.container import _Cursor
+
+    cur = _Cursor(b"abcd")
+    with pytest.raises(SchemaError):
+        cur.take(-1, "a field")
+    with pytest.raises(TruncatedError):
+        cur.take(5, "a field")
+    assert cur.take(4, "a field") == b"abcd"

@@ -13,7 +13,6 @@ from vemoclap.dataset import (
     build_app_split,
     carve_validation,
     compute_stats,
-    denormalize,
     load_stats,
     normalize,
     read_manifest,
@@ -119,14 +118,6 @@ def test_normalize_dim_mismatch():
     stats = make_stats([0.0, 1.0], [2.0, 3.0])
     with pytest.raises(ValueError, match="channel dim"):
         normalize(np.zeros((4, 3)), "clip", stats)
-
-
-def test_normalize_then_denormalize_is_identity(rng):
-    stats = make_stats([-1.0, 0.0, 2.0], [3.0, 1.0, 4.0])
-    x = rng.uniform(-1.0, 3.0, (6, 3)).astype(np.float32)
-    x = np.clip(x, stats.minima["clip"], stats.maxima["clip"])
-    back = denormalize(normalize(x, "clip", stats), "clip", stats)
-    assert np.allclose(back, x, atol=1e-6)
 
 
 def test_stats_json_round_trip(tmp_path, rng):

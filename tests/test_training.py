@@ -7,6 +7,7 @@ from vemoclap.autograd import Graph, Mode, Tensor
 from vemoclap.dataset import compute_stats, normalize_features
 from vemoclap.model import forward, init_params
 from vemoclap.training import (
+    ADAM_CHUNK,
     AdamState,
     EvalResult,
     TrainConfig,
@@ -159,6 +160,47 @@ def test_adam_three_step_trajectory_matches_reference():
             v_hat = v[i] / (1 - b2**t)
             ref[i] -= lr * m_hat / (math.sqrt(v_hat) + eps)
         assert np.allclose(theta.data, ref, atol=1e-10)
+
+
+class TwoTensorParams:
+    def __init__(self, small, ragged):
+        self.small, self.ragged = small, ragged
+
+    def named_tensors(self):
+        return [("small", self.small), ("ragged", self.ragged)]
+
+
+def test_chunked_adam_matches_plain_reference_bit_for_bit():
+    # One tensor smaller than a chunk, one whose size is not a multiple of it.
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    shapes = {"small": (7, 11), "ragged": (2 * ADAM_CHUNK + 4099,)}
+    rng = np.random.default_rng(21)
+    start = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
+    grads = [
+        {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
+        for _ in range(3)
+    ]
+    params = TwoTensorParams(*(Tensor(start[name], requires_grad=True) for name in shapes))
+    state = AdamState.for_params(params)
+    config = TrainConfig(lr=lr, betas=(b1, b2), eps_adam=eps)
+
+    # Plain whole-array Adam in float32, one numpy expression per line.
+    f32 = np.float32
+    ref = {name: start[name].copy() for name in shapes}
+    m = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape, np.float32) for name, shape in shapes.items()}
+    for t, step_grads in enumerate(grads, start=1):
+        adam_step(params, step_grads, state, config)
+        for name, g in step_grads.items():
+            m[name] = m[name] * f32(b1) + f32(1.0 - b1) * g
+            v[name] = v[name] * f32(b2) + f32(1.0 - b2) * (g * g)
+            m_hat = m[name] / f32(1.0 - b1**t)
+            v_hat = v[name] / f32(1.0 - b2**t)
+            ref[name] = ref[name] - f32(lr) * m_hat / (np.sqrt(v_hat) + f32(eps))
+        for name, tensor in params.named_tensors():
+            assert tensor.data.tobytes() == ref[name].tobytes(), (name, t)
+            assert state.m[name].tobytes() == m[name].tobytes(), (name, t)
+            assert state.v[name].tobytes() == v[name].tobytes(), (name, t)
 
 
 def test_adam_aborts_on_non_finite_gradient():
