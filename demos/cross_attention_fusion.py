@@ -50,8 +50,10 @@ def make_video(video_id, faces):
     )
 
 
-# Face counts differ (2, 0 and 5 rows): the batch pads expression to 5 rows
-# and masks the padding, and a faceless video keeps one zero row.
+# Face counts differ (2, 0 and 5 rows): the batch carries expression as
+# its 2 + 1 + 5 real rows, a faceless video keeping one zero row. Only the
+# attention products pad to 5 rows; projections, dropout, layer norm and
+# the pool never see a padded row.
 videos = [
     make_video("two-faces", [1, 4]),
     make_video("no-face", []),

@@ -27,8 +27,11 @@ may write into a ``.grad`` or a vjp's input or output in place: read
 gradients, or replace them (``t.grad = t.grad + g``), never mutate them.
 
 NaN/Inf anywhere is a hard error at op boundaries: tensors are validated
-at construction and every op validates its output, so divergence surfaces
-at the op that produced it.
+at construction and every op that computes validates its output, so
+divergence surfaces at the op that produced it. Ops that only move
+elements (reshape, concat, concat_cols, stack_rows, slice_cols,
+transpose, take_per_row) skip the check: their inputs passed it, so
+their outputs are finite too.
 
 A Graph and its tensors belong to one thread for the duration of a
 forward/backward pass; independent graphs may run on separate threads.
@@ -215,9 +218,17 @@ def _recording() -> Optional[Graph]:
     return g if g is not None and g.mode is Mode.TRAINING else None
 
 
-def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp, name: str) -> Tensor:
-    """Wrap an op result, validating finiteness and recording if needed."""
-    _ensure_finite(out_data, name)
+def _emit(
+    out_data: np.ndarray, inputs: Sequence[Tensor], vjp, name: str, moved: bool = False
+) -> Tensor:
+    """Wrap an op result, validating finiteness and recording if needed.
+
+    `moved` marks an op whose output only copies or views elements of its
+    inputs (reshape, concatenation, gathers); its inputs were already
+    checked, so its output is not checked again.
+    """
+    if not moved:
+        _ensure_finite(out_data, name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -252,7 +263,8 @@ def matmul(
 
     BLAS picks its kernel by operand shape, so a row of a @ b can round
     differently when a has 1 row than when it has 32. `row_independent`
-    computes every entry as its own pairwise-summed dot product instead,
+    computes every entry as its own pairwise-summed dot product instead:
+    entry (i, j) is np.sum over the contiguous products a[i] * b[:, j],
     which gives each output row the same bits whatever rows a holds
     besides it. It materializes an [m, n, k] temporary, so it suits
     narrow products such as the classifier head.
@@ -264,7 +276,12 @@ def matmul(
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     na, nb = a.requires_grad, b.requires_grad
-    out = (ad[:, None, :] * bd.T[None, :, :]).sum(axis=-1) if row_independent else ad @ bd
+    if row_independent:
+        # b's columns made contiguous, so the k axis of the temporary is
+        # contiguous too and numpy sums it pairwise, not one by one.
+        out = (ad[:, None, :] * np.ascontiguousarray(bd.T)[None, :, :]).sum(axis=-1)
+    else:
+        out = ad @ bd
     inputs: tuple[Tensor, ...] = (a, b)
     if bias is not None:
         _same_dtype(a, bias)
@@ -292,6 +309,7 @@ def transpose(x: Tensor) -> Tensor:
         (x,),
         lambda g: (np.ascontiguousarray(g.T),),
         "transpose",
+        moved=True,
     )
 
 
@@ -400,6 +418,47 @@ def dropout(x: Tensor, p: float, rng: Optional[SplitMix64] = None) -> Tensor:
     return _emit(x.data * scaled_mask, (x,), lambda g: (g * scaled_mask,), "dropout")
 
 
+def _layout(n_rows: int, batch: int, lengths, what: str) -> tuple[int, Optional[np.ndarray]]:
+    """(t, valid) for `n_rows` row-stacked rows of `batch` sequences.
+
+    Without `lengths` the rows split into `batch` equal sequences. With
+    them, sequence i holds lengths[i] >= 1 rows and the padded layout has
+    t = max(lengths) rows per sequence. `valid` is the [batch, t] mask of
+    real rows, or None when no row is padding, in which case the padded
+    layout is a plain reshape of the rows.
+    """
+    if lengths is None:
+        if batch < 1 or n_rows % batch:
+            raise ShapeError(f"cannot split {n_rows} {what} rows into {batch} sequences")
+        return n_rows // batch, None
+    lengths = np.asarray(lengths)
+    if batch < 1 or lengths.shape != (batch,):
+        raise ShapeError(f"need {batch} {what} lengths, got shape {lengths.shape}")
+    if lengths.min() < 1 or int(lengths.sum()) != n_rows:
+        raise ShapeError(f"{what} lengths must be positive and sum to {n_rows} rows, got {lengths}")
+    t = int(lengths.max())
+    return t, None if lengths.min() == t else np.arange(t) < lengths[:, None]
+
+
+def _pad(rows: np.ndarray, batch: int, t: int, valid: Optional[np.ndarray], heads: int) -> np.ndarray:
+    """[N, d] row-stacked rows as [batch, heads, t, d/heads] blocks, padding with zeros."""
+    split = rows.reshape(rows.shape[0], heads, -1)
+    if valid is None:
+        blocks = split.reshape(batch, t, *split.shape[1:])
+    else:
+        blocks = np.zeros((batch, t) + split.shape[1:], dtype=rows.dtype)
+        blocks[valid] = split
+    return blocks.transpose(0, 2, 1, 3)
+
+
+def _unpad(blocks: np.ndarray, valid: Optional[np.ndarray]) -> np.ndarray:
+    """Inverse of `_pad`: the real rows of [batch, heads, t, dh] blocks as [N, d]."""
+    rows = blocks.transpose(0, 2, 1, 3)
+    if valid is not None:
+        rows = rows[valid]
+    return rows.reshape(-1, rows.shape[-2] * rows.shape[-1])
+
+
 def attention(
     q: Tensor,
     k: Tensor,
@@ -407,19 +466,30 @@ def attention(
     batch: int,
     heads: int,
     kv_mask: Optional[np.ndarray] = None,
+    q_lengths: Optional[np.ndarray] = None,
+    kv_lengths: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over row-stacked sequences.
 
-    q is [batch * t_q, d] and k, v are [batch * t_kv, d]: `batch`
-    equal-length sequences stacked row-wise, each row split into `heads`
-    column blocks of width dh = d / heads. Per sequence and head the op
-    computes softmax(q k^T / sqrt(dh) + bias) v, with the heads merged back
-    into [batch * t_q, d] rows. `kv_mask`, when given, is a [batch, t_kv]
-    boolean array with True marking attendable key/value rows; the others
-    get a -MASK_BIAS score bias, which underflows to exactly zero weight
-    after the softmax's max-subtraction, so they also get exactly zero
-    gradient. The [batch, heads, t, dh] products run as broadcasting
-    np.matmul, forward and backward.
+    q is [N_q, d] and k, v are [N_kv, d]: the rows of `batch` sequences
+    stacked row-wise, each row split into `heads` column blocks of width
+    dh = d / heads. Without lengths the sequences are equally long (N / batch
+    rows each); `q_lengths` / `kv_lengths` give each sequence's row count
+    instead. Per sequence and head the op computes
+    softmax(q k^T / sqrt(dh) + bias) v, with the heads merged back into
+    [N_q, d] rows.
+
+    Only the [batch, heads, t, dh] products see a padded layout: the rows
+    are scattered into zero-padded blocks of the longest sequence, padded
+    key/value rows are masked out, and only the real query rows are
+    gathered back, forward and backward. When no sequence is shorter than
+    the longest, the blocks are a plain reshape of the rows.
+
+    `kv_mask`, when given, is a [batch, t_kv] boolean array with True
+    marking attendable key/value rows of equal-length sequences (it
+    excludes `kv_lengths`). Masked and padded rows get a -MASK_BIAS score
+    bias, which underflows to exactly zero weight after the softmax's
+    max-subtraction, so they also get exactly zero gradient.
     """
     _same_dtype(q, k, v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -427,50 +497,51 @@ def attention(
     d = q.shape[1]
     if k.shape != v.shape or k.shape[1] != d:
         raise ShapeError(f"attention operand widths differ: {q.shape}, {k.shape}, {v.shape}")
-    if batch < 1 or q.shape[0] % batch or k.shape[0] % batch:
-        raise ShapeError(f"cannot split {q.shape[0]} / {k.shape[0]} rows into {batch} sequences")
     if heads < 1 or d % heads:
         raise ShapeError(f"width {d} is not divisible by heads={heads}")
-    t_q, t_kv, dh = q.shape[0] // batch, k.shape[0] // batch, d // heads
-    dt = q.dtype.type
-    scale_c = dt(1.0 / np.sqrt(dh))
-
-    def split(rows: np.ndarray, t: int) -> np.ndarray:
-        return rows.reshape(batch, t, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(blocks: np.ndarray) -> np.ndarray:
-        return blocks.transpose(0, 2, 1, 3).reshape(batch * blocks.shape[2], d)
-
-    qh, kh, vh = split(q.data, t_q), split(k.data, t_kv), split(v.data, t_kv)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale_c
+    t_q, q_pad = _layout(q.shape[0], batch, q_lengths, "query")
+    t_kv, kv_pad = _layout(k.shape[0], batch, kv_lengths, "key/value")
+    kv_keep = kv_pad
     if kv_mask is not None:
-        kv_mask = np.asarray(kv_mask, dtype=bool)
-        if kv_mask.shape != (batch, t_kv):
-            raise ShapeError(f"kv_mask must have shape ({batch}, {t_kv}), got {kv_mask.shape}")
-        if not kv_mask.any(axis=1).all():
+        if kv_lengths is not None:
+            raise ShapeError("attention takes kv_mask or kv_lengths, not both")
+        kv_keep = np.asarray(kv_mask, dtype=bool)
+        if kv_keep.shape != (batch, t_kv):
+            raise ShapeError(f"kv_mask must have shape ({batch}, {t_kv}), got {kv_keep.shape}")
+        if not kv_keep.any(axis=1).all():
             raise DegenerateInputError("attention: every key/value row of a sequence is masked")
-        scores += np.where(kv_mask, dt(0.0), dt(-MASK_BIAS))[:, None, None, :]
+    dt = q.dtype.type
+    scale_c = dt(1.0 / np.sqrt(d // heads))
+
+    qh = _pad(q.data, batch, t_q, q_pad, heads)
+    kh = _pad(k.data, batch, t_kv, kv_pad, heads)
+    vh = _pad(v.data, batch, t_kv, kv_pad, heads)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale_c
+    if kv_keep is not None:
+        scores += np.where(kv_keep, dt(0.0), dt(-MASK_BIAS))[:, None, None, :]
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
 
     def vjp(g):
-        gh = split(g, t_q)
+        gh = _pad(g, batch, t_q, q_pad, heads)
         g_weights = np.matmul(gh, vh.transpose(0, 1, 3, 2))
         g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
         g_scores *= scale_c
         return (
-            merge(np.matmul(g_scores, kh)) if nq else None,
-            merge(np.matmul(g_scores.transpose(0, 1, 3, 2), qh)) if nk else None,
-            merge(np.matmul(weights.transpose(0, 1, 3, 2), gh)) if nv else None,
+            _unpad(np.matmul(g_scores, kh), q_pad) if nq else None,
+            _unpad(np.matmul(g_scores.transpose(0, 1, 3, 2), qh), kv_pad) if nk else None,
+            _unpad(np.matmul(weights.transpose(0, 1, 3, 2), gh), kv_pad) if nv else None,
         )
 
-    return _emit(merge(np.matmul(weights, vh)), (q, k, v), vjp, "attention")
+    return _emit(_unpad(np.matmul(weights, vh), q_pad), (q, k, v), vjp, "attention")
 
 
-def mean_pool(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
-    """Mean over the temporal axis of a [t, c] or [b, t, c] tensor.
+def mean_pool(
+    x: Tensor, valid: Optional[np.ndarray] = None, lengths: Optional[np.ndarray] = None
+) -> Tensor:
+    """Mean over the temporal axis of a [t, c] or [b, t, c] tensor, or per segment.
 
     `valid`, when given, is a boolean row mask of shape [t] or [b, t]; the
     mean runs over each sequence's unmasked rows only, and masked rows get
@@ -478,7 +549,16 @@ def mean_pool(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
     degenerate-input error. The mean is the sum of the kept rows over
     their count, so padding a sequence with masked rows leaves its mean
     bit-identical.
+
+    `lengths` instead reads a 2-D x as row-stacked sequences: x holds
+    sum(lengths) >= 1 rows per sequence, and output row i is the mean of
+    sequence i's rows. They are summed in the padded [b, max(lengths), c]
+    layout, zeros after the real rows, which a plain reshape gives when
+    all lengths are equal; the sums are then bit-identical to `valid`
+    masking of that layout.
     """
+    if lengths is not None:
+        return _segment_mean(x, lengths, valid)
     if x.data.ndim not in (2, 3):
         raise ShapeError(f"mean_pool needs a [t, c] or [b, t, c] tensor, got {x.shape}")
     if x.shape[-2] < 1:
@@ -494,6 +574,27 @@ def mean_pool(x: Tensor, valid: Optional[np.ndarray] = None) -> Tensor:
     weights = keep / count[..., None]
 
     return _emit(out, (x,), lambda g: (weights * g[..., None, :],), "mean_pool")
+
+
+def _segment_mean(x: Tensor, lengths, valid) -> Tensor:
+    if valid is not None:
+        raise ShapeError("mean_pool takes valid or lengths, not both")
+    if x.data.ndim != 2:
+        raise ShapeError(f"mean_pool with lengths needs [N, c] rows, got {x.shape}")
+    lengths = np.atleast_1d(lengths)
+    b, c = lengths.shape[0], x.shape[1]
+    t, pad = _layout(x.shape[0], b, lengths, "pooled")
+    if pad is None:
+        blocks = x.data.reshape(b, t, c)
+    else:
+        blocks = np.zeros((b, t, c), dtype=x.dtype)
+        blocks[pad] = x.data
+    count = lengths.astype(x.dtype)[:, None]
+    inv = 1.0 / count
+
+    return _emit(
+        blocks.sum(axis=1) / count, (x,), lambda g: (np.repeat(g * inv, lengths, axis=0),), "mean_pool"
+    )
 
 
 def concat(xs: Sequence[Tensor]) -> Tensor:
@@ -513,7 +614,7 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
             g[offsets[i]:offsets[i + 1]] if needs[i] else None for i in range(len(sizes))
         )
 
-    return _emit(np.concatenate([t.data for t in xs]), tuple(xs), vjp, "concat")
+    return _emit(np.concatenate([t.data for t in xs]), tuple(xs), vjp, "concat", moved=True)
 
 
 def concat_cols(xs: Sequence[Tensor]) -> Tensor:
@@ -534,7 +635,8 @@ def concat_cols(xs: Sequence[Tensor]) -> Tensor:
             g[:, offsets[i]:offsets[i + 1]] if needs[i] else None for i in range(len(widths))
         )
 
-    return _emit(np.concatenate([t.data for t in xs], axis=1), tuple(xs), vjp, "concat_cols")
+    out = np.concatenate([t.data for t in xs], axis=1)
+    return _emit(out, tuple(xs), vjp, "concat_cols", moved=True)
 
 
 def stack_rows(xs: Sequence[Tensor]) -> Tensor:
@@ -551,7 +653,7 @@ def stack_rows(xs: Sequence[Tensor]) -> Tensor:
     def vjp(g):
         return tuple(g[i] if needs[i] else None for i in range(len(xs)))
 
-    return _emit(np.stack([t.data for t in xs], axis=0), tuple(xs), vjp, "stack_rows")
+    return _emit(np.stack([t.data for t in xs], axis=0), tuple(xs), vjp, "stack_rows", moved=True)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -567,7 +669,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         full[:, start:stop] = g
         return (full,)
 
-    return _emit(xd[:, start:stop].copy(), (x,), vjp, "slice_cols")
+    return _emit(xd[:, start:stop].copy(), (x,), vjp, "slice_cols", moved=True)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -575,7 +677,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     old = x.shape
     # A view both ways; see "Gradient ownership" in the module docstring.
-    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape")
+    return _emit(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),), "reshape", moved=True)
 
 
 def log(x: Tensor) -> Tensor:
@@ -611,7 +713,7 @@ def take_per_row(x: Tensor, cols: Sequence[int]) -> Tensor:
         np.add.at(full, (rows, idx), g)
         return (full,)
 
-    return _emit(xd[rows, idx], (x,), vjp, "take_per_row")
+    return _emit(xd[rows, idx], (x,), vjp, "take_per_row", moved=True)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -2,13 +2,17 @@
 
 Per-modality intake expects features already sampled to n frames and
 min-max normalized. The forward pass runs a whole batch of videos at
-once. Each configured (query, key/value) pairing of the three sequential
-modalities runs multi-head scaled dot-product attention (query projected
-to width d, post-norm residual, dropout on the output projection) over
-the batch's stacked rows, is mean-pooled over each video's real rows
-into one d-vector per video, and the three pooled vectors plus the two
-sentiment vectors are concatenated into one row per video. A linear
-layer and softmax produce the [B, 6] class probabilities.
+once. Each sequential modality travels as its videos' real rows stacked
+one after another, with per-video row counts: n rows of clip and beats,
+and k expression rows (one zero row for a faceless video). Each
+configured (query, key/value) pairing of those modalities runs
+multi-head scaled dot-product attention (query projected to width d,
+post-norm residual, dropout on the output projection) over those rows,
+is mean-pooled over each video's rows into one d-vector per video, and
+the three pooled vectors plus the two sentiment vectors are
+concatenated into one row per video. A linear layer and softmax produce
+the [B, 6] class probabilities. Only the attention products inside
+`autograd.attention` pad sequences to a common length.
 
 No positional encoding anywhere: temporal pooling discards order, which
 makes key/value-row permutation invariance an exact property of the
@@ -119,7 +123,38 @@ class ModelConfig:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ModelConfig":
+    def from_json_obj(cls, obj) -> "ModelConfig":
+        """Inverse of `to_json_obj`. A missing or wrongly typed field is a
+        ConfigError (a ValueError) that names the field."""
+
+        def is_int(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def is_pair(p) -> bool:
+            return isinstance(p, list) and len(p) == 2 and all(isinstance(m, str) for m in p)
+
+        checks = {
+            "input_dims": (
+                lambda v: isinstance(v, dict) and all(is_int(x) for x in v.values()),
+                "an object of integers",
+            ),
+            "d": (is_int, "an integer"),
+            "heads": (is_int, "an integer"),
+            "dropout_p": (lambda v: is_int(v) or isinstance(v, float), "a number"),
+            "n": (is_int, "an integer"),
+            "class_count": (is_int, "an integer"),
+            "pairings": (
+                lambda v: isinstance(v, list) and all(is_pair(p) for p in v),
+                "a list of [query, key/value] name pairs",
+            ),
+        }
+        if not isinstance(obj, dict):
+            raise ConfigError(f"model config must be a JSON object, got {type(obj).__name__}")
+        for name, (check, what) in checks.items():
+            if name not in obj:
+                raise ConfigError(f"model config is missing field {name!r}")
+            if not check(obj[name]):
+                raise ConfigError(f"model config field {name!r} must be {what}, got {obj[name]!r}")
         return cls(
             input_dims=obj["input_dims"],
             d=obj["d"],
@@ -219,6 +254,21 @@ def param_count(params: FusionParams) -> int:
     return sum(t.size for _, t in params.named_tensors())
 
 
+def _as_rows(seq: Tensor, lengths, what: str) -> tuple[Tensor, Optional[np.ndarray], int]:
+    """(rows [N, C], per-sequence lengths or None, batch size) of a sequence argument."""
+    if lengths is not None:
+        if seq.data.ndim != 2:
+            raise ag.ShapeError(f"{what} rows with lengths must be 2-D, got {seq.shape}")
+        lengths = np.atleast_1d(lengths)
+        return seq, lengths, lengths.shape[0]
+    if seq.data.ndim == 3:
+        b, t, c = seq.shape
+        return ag.reshape(seq, (b * t, c)), None, b
+    if seq.data.ndim == 2:
+        return seq, None, 1
+    raise ag.ShapeError(f"cross_attention needs a 2-D or 3-D {what} sequence, got {seq.shape}")
+
+
 def cross_attention(
     q_seq: Tensor,
     kv_seq: Tensor,
@@ -227,31 +277,32 @@ def cross_attention(
     dropout_p: float = 0.0,
     rng: Optional[SplitMix64] = None,
     kv_mask: Optional[np.ndarray] = None,
+    q_lengths: Optional[np.ndarray] = None,
+    kv_lengths: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over a (query, key/value) pair.
 
-    Takes a batch of sequences, q_seq [B, Tq, Cq] and kv_seq [B, Tkv, Ckv],
-    or one [T, C] pair treated as a batch of one; the output has the
-    query's shape with width d. Handles unequal temporal lengths.
-    `kv_mask` ([B, Tkv], or [Tkv] for a 2-D pair), when given, marks
-    attendable key/value rows with True; masked rows get a -1e9 score
-    bias, which underflows to exactly zero weight after the softmax's
-    max-subtraction. Each projection is one matmul with its bias fused,
-    over the stacked [B*T, C] rows; output projection, dropout (TRAINING graphs only),
-    residual onto the projected query, then layer norm.
+    Each side is a batch of B sequences in one of three forms: [B, T, C];
+    one [T, C] sequence, a batch of one; or [N, C] rows with `q_lengths` /
+    `kv_lengths` giving each sequence's row count (the rows of sequence i
+    follow those of sequence i - 1, and N is the sum of the lengths). The
+    output has the query's form with width d. Handles unequal temporal
+    lengths.
+
+    Every step runs on the real rows only: one bias-fused matmul per
+    projection over the stacked rows, attention, the output projection,
+    dropout (TRAINING graphs only), the residual onto the projected query,
+    then layer norm. Only the products inside `autograd.attention` see a
+    padded layout. `kv_mask` ([B, Tkv], or [Tkv] for a 2-D pair), when
+    given, marks attendable key/value rows with True; masked rows get a
+    -1e9 score bias, which underflows to exactly zero weight after the
+    softmax's max-subtraction.
     """
-    ndim = q_seq.data.ndim
-    if ndim not in (2, 3) or kv_seq.data.ndim != ndim:
-        raise ag.ShapeError(
-            f"cross_attention needs two 2-D or two 3-D sequences, got {q_seq.shape} and {kv_seq.shape}"
-        )
-    batched = ndim == 3
-    b = q_seq.shape[0] if batched else 1
-    t_q, c_q = q_seq.shape[-2:]
-    t_kv, c_kv = kv_seq.shape[-2:]
-    if batched and kv_seq.shape[0] != b:
+    q_rows, q_lengths, b = _as_rows(q_seq, q_lengths, "query")
+    kv_rows, kv_lengths, b_kv = _as_rows(kv_seq, kv_lengths, "key/value")
+    if b != b_kv:
         raise ag.ShapeError(f"cross_attention batch sizes differ: {q_seq.shape} and {kv_seq.shape}")
-    if b < 1 or t_q < 1 or t_kv < 1:
+    if b < 1 or q_rows.shape[0] < 1 or kv_rows.shape[0] < 1:
         raise ag.ShapeError(
             f"cross_attention needs nonempty sequences, got {q_seq.shape} and {kv_seq.shape}"
         )
@@ -263,29 +314,32 @@ def cross_attention(
         expect = kv_seq.shape[:-1]
         if kv_mask.shape != expect:
             raise ag.ShapeError(f"kv_mask must have shape {expect}, got {kv_mask.shape}")
-        kv_mask = kv_mask.reshape(b, t_kv)
+        if kv_lengths is None:
+            kv_mask = kv_mask.reshape(b, -1)
 
-    q_rows = ag.reshape(q_seq, (b * t_q, c_q)) if batched else q_seq
-    kv_rows = ag.reshape(kv_seq, (b * t_kv, c_kv)) if batched else kv_seq
     q_proj = ag.matmul(q_rows, params.w_q, params.b_q)
     k_proj = ag.matmul(kv_rows, params.w_k, params.b_k)
     v_proj = ag.matmul(kv_rows, params.w_v, params.b_v)
-    merged = ag.attention(q_proj, k_proj, v_proj, batch=b, heads=heads, kv_mask=kv_mask)
+    merged = ag.attention(
+        q_proj, k_proj, v_proj, batch=b, heads=heads,
+        kv_mask=kv_mask, q_lengths=q_lengths, kv_lengths=kv_lengths,
+    )
     projected = ag.matmul(merged, params.w_o, params.b_o)
     projected = ag.dropout(projected, dropout_p, rng)
     out = ag.layer_norm(ag.add(projected, q_proj), params.gamma, params.beta)
-    return ag.reshape(out, (b, t_q, d)) if batched else out
+    return ag.reshape(out, (b, q_seq.shape[1], d)) if q_seq.data.ndim == 3 else out
 
 
 def _batch_arrays(
     videos: Sequence[VideoFeatures], config: ModelConfig
-) -> tuple[dict[str, np.ndarray], dict[str, Optional[np.ndarray]]]:
-    """Stacked [B, T, C] sequences and [B, s] sentiment rows, plus row masks.
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Row-stacked [sum(lengths), C] sequences and [B, s] sentiment rows, plus lengths.
 
-    clip and beats hold n rows per video, so they need no mask. Expression
-    is zero-padded to the longest expression sequence in the batch, with a
-    [B, T] mask of real rows; a video with no detected face keeps a single
-    zero row, counted as real, which keeps its branch shape-valid.
+    Each sequential modality holds its videos' rows one after another,
+    with no padding, and a [B] array of per-video row counts. clip and
+    beats hold n rows per video. Expression holds a video's k real rows;
+    a video with no detected face keeps a single zero row, counted as
+    real, which keeps its branch shape-valid.
     """
     dims = config.input_dims
     for vf in videos:
@@ -301,16 +355,15 @@ def _batch_arrays(
                 )
     arrays = {
         name: np.stack([getattr(vf, name) for vf in videos])
-        for name in ("clip", "beats", "ocr_sentiment", "asr_sentiment")
+        for name in ("ocr_sentiment", "asr_sentiment")
     }
-    lengths = np.array([max(vf.k, 1) for vf in videos])
-    expression = np.zeros((len(videos), int(lengths.max()), dims["expression"]), np.float32)
-    for row, vf in zip(expression, videos):
-        if vf.k:
-            row[: vf.k] = vf.expression
-    arrays["expression"] = expression
-    valid = np.arange(expression.shape[1]) < lengths[:, None]
-    return arrays, {"clip": None, "beats": None, "expression": valid}
+    for name in ("clip", "beats"):
+        arrays[name] = np.concatenate([getattr(vf, name) for vf in videos])
+    no_face = np.zeros((1, dims["expression"]), np.float32)
+    arrays["expression"] = np.concatenate([vf.expression if vf.k else no_face for vf in videos])
+    full = np.full(len(videos), config.n)
+    lengths = {"clip": full, "beats": full, "expression": np.array([max(vf.k, 1) for vf in videos])}
+    return arrays, lengths
 
 
 def forward(
@@ -322,14 +375,16 @@ def forward(
     """[B, 6] class probabilities for a batch of sampled, normalized videos.
 
     One pass serves the whole batch; a video's row does not depend on its
-    batchmates beyond floating-point rounding. Dropout fires only inside a
-    TRAINING graph, in which case `rng` must be supplied; inference-mode
-    calls are deterministic.
+    batchmates beyond floating-point rounding. Every modality travels as
+    its videos' real rows: no projection, dropout or layer norm sees a
+    padded row, and each pooled vector averages its own video's rows.
+    Dropout fires only inside a TRAINING graph, in which case `rng` must
+    be supplied; inference-mode calls are deterministic.
     """
     if len(videos) == 0:
         raise ValueError("forward needs at least one video")
     dtype = params.w_head.data.dtype
-    arrays, masks = _batch_arrays(videos, config)
+    arrays, lengths = _batch_arrays(videos, config)
     seqs = {name: Tensor(arrays[name], dtype=dtype) for name in SEQUENTIAL_MODALITIES}
 
     columns = []
@@ -341,9 +396,10 @@ def forward(
             heads=config.heads,
             dropout_p=config.dropout_p,
             rng=rng,
-            kv_mask=masks[kv_name],
+            q_lengths=lengths[q_name],
+            kv_lengths=lengths[kv_name],
         )
-        columns.append(ag.mean_pool(attn, valid=masks[q_name]))
+        columns.append(ag.mean_pool(attn, lengths=lengths[q_name]))
     for name in ("ocr_sentiment", "asr_sentiment"):
         columns.append(Tensor(arrays[name], dtype=dtype))
 
@@ -389,6 +445,8 @@ def load_checkpoint(path) -> tuple[FusionParams, ModelConfig, dict]:
     if CHECKPOINT_CONFIG_ENTRY not in entries:
         raise ValueError(f"checkpoint {path} is missing its config entry")
     header = entry_json(entries.pop(CHECKPOINT_CONFIG_ENTRY))
+    if not isinstance(header, dict) or "model_config" not in header:
+        raise ValueError(f"checkpoint {path} config entry is missing field 'model_config'")
     config = ModelConfig.from_json_obj(header["model_config"])
 
     def tensor_for(name: str, expect_shape: tuple[int, ...]) -> Tensor:

@@ -28,6 +28,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _DERIVE_SALT = np.uint64(0x5851F42D4C957F2D)
 
+# `next_raw` mixes its outputs in place, this many at a time, so its one
+# scratch buffer stays cache-sized whatever the count.
+RAW_CHUNK = 16384
+_STEPS = np.arange(RAW_CHUNK, dtype=np.uint64) * _GOLDEN  # j * GOLDEN, wrapped
+
 # 64-bit FNV-1a, used to hash string tags into u64 stream labels.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -82,13 +87,30 @@ class SplitMix64:
         return SplitMix64(int(s))
 
     def next_raw(self, count: int) -> np.ndarray:
-        """Next `count` raw 64-bit outputs as a uint64 array."""
+        """Next `count` raw 64-bit outputs as a uint64 array.
+
+        Output i is seed + (counter + i + 1) * GOLDEN put through mix64 in
+        place, RAW_CHUNK outputs at a time with one scratch buffer.
+        """
         if count < 0:
             raise ValueError("count must be nonnegative")
-        idx = np.arange(self._counter + 1, self._counter + count + 1, dtype=np.uint64)
+        out = np.empty(count, dtype=np.uint64)
+        tmp = np.empty(min(count, RAW_CHUNK), dtype=np.uint64)
+        first = self._counter + 1
         self._counter += count
         with np.errstate(over="ignore"):
-            return _mix64(np.uint64(self._seed) + idx * _GOLDEN)
+            for lo in range(0, count, RAW_CHUNK):
+                z = out[lo:lo + RAW_CHUNK]
+                t = tmp[: z.size]
+                base = (self._seed + (first + lo) * int(_GOLDEN)) & _MASK64
+                np.add(_STEPS[: z.size], np.uint64(base), out=z)
+                for shift, mult in ((30, _MIX1), (27, _MIX2)):
+                    np.right_shift(z, np.uint64(shift), out=t)
+                    z ^= t
+                    z *= mult
+                np.right_shift(z, np.uint64(31), out=t)
+                z ^= t
+        return out
 
     def random(self, shape=(), dtype=np.float64) -> np.ndarray:
         """Uniform floats in [0, 1): top 53 bits / 2**53 (24 bits for f32)."""

@@ -41,6 +41,44 @@ def test_tensor_rejects_nan_and_inf():
         Tensor([float("inf")])
 
 
+BIG = np.float32(3e38)
+
+
+@pytest.mark.parametrize(
+    "op_name, build",
+    [
+        ("scale", lambda x: ag.scale(x, 10.0)),
+        ("add", lambda x: ag.add(x, x)),
+        ("mul", lambda x: ag.mul(x, x)),
+        ("matmul", lambda x: ag.matmul(x, ag.reshape(x, (2, 1)))),
+        ("log", lambda x: ag.log(ag.scale(x, -1.0))),
+        ("mean_pool", lambda x: ag.mean_pool(ag.reshape(x, (2, 1)))),
+        (
+            "layer_norm",
+            lambda x: ag.layer_norm(ag.scale(x, 0.0), ag.reshape(x, (2,)), ag.reshape(x, (2,)), eps=0.0),
+        ),
+    ],
+)
+def test_non_finite_output_of_a_computing_op_raises_at_that_op(op_name, build):
+    x = Tensor(np.array([[BIG, BIG]], dtype=np.float32))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=op_name):
+        build(x)
+
+
+def test_moving_ops_keep_finite_inputs_finite():
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    with Graph(Mode.TRAINING):
+        moved = [
+            ag.reshape(x, (3, 2)),
+            ag.concat_cols([x, x]),
+            ag.slice_cols(x, 1, 3),
+            ag.transpose(x),
+            ag.take_per_row(x, [0, 2]),
+        ]
+    for out in moved:
+        assert np.all(np.isfinite(out.data))
+
+
 def test_ops_reject_mixed_dtypes():
     a = Tensor(np.ones((2, 2), dtype=np.float32))
     b = Tensor(np.ones((2, 2), dtype=np.float64))
@@ -96,6 +134,20 @@ def test_matmul_row_independent_rows_ignore_batchmates(rng):
     for i in range(32):
         alone = ag.matmul(Tensor(a[i:i + 1]), Tensor(b), row_independent=True).data
         assert np.array_equal(alone[0], full[i])
+
+
+def test_matmul_row_independent_entry_is_pairwise_sum_of_its_product_row(rng):
+    a = rng.uniform(0.0, 1.0, (7, 3072)).astype(np.float32)
+    b = rng.uniform(-0.5, 0.5, (3072, 6)).astype(np.float32)
+    bias = rng.standard_normal(6).astype(np.float32)
+    out = ag.matmul(Tensor(a), Tensor(b), row_independent=True).data
+    biased = ag.matmul(Tensor(a), Tensor(b), Tensor(bias), row_independent=True).data
+    for i in range(7):
+        for j in range(6):
+            # np.sum over a contiguous 1-D array is numpy's pairwise sum.
+            product = np.ascontiguousarray(a[i] * b[:, j])
+            assert out[i, j] == np.sum(product), (i, j)
+            assert biased[i, j] == np.sum(product) + bias[j], (i, j)
 
 
 def test_matmul_bias_matches_separate_add_bit_for_bit(rng):
@@ -391,6 +443,72 @@ def test_slice_and_concat_cols_roundtrip(rng):
     assert np.array_equal(x.grad, np.ones_like(x.data))
 
 
+def test_mean_pool_lengths_equal_masked_padded_mean_bit_for_bit(rng):
+    lengths = np.array([3, 1, 4, 2])
+    rows = rng.standard_normal((int(lengths.sum()), 5)).astype(np.float32)
+    valid = np.arange(4) < lengths[:, None]
+    padded = np.zeros((4, 4, 5), dtype=np.float32)
+    padded[valid] = rows
+    out = ag.mean_pool(Tensor(rows), lengths=lengths)
+    assert out.data.tobytes() == ag.mean_pool(Tensor(padded), valid=valid).data.tobytes()
+    # Equal lengths read the rows as a plain [b, t, c] reshape.
+    even = ag.mean_pool(Tensor(rows[:8]), lengths=np.array([4, 4]))
+    assert even.data.tobytes() == ag.mean_pool(Tensor(rows[:8].reshape(2, 4, 5))).data.tobytes()
+
+
+def test_mean_pool_lengths_are_checked():
+    x = Tensor(np.ones((4, 2), dtype=np.float32))
+    for bad in ([2, 1], [4, 0], [5, -1]):
+        with pytest.raises(ShapeError):
+            ag.mean_pool(x, lengths=np.array(bad))
+    with pytest.raises(ShapeError, match="not both"):
+        ag.mean_pool(x, valid=np.ones(4, dtype=bool), lengths=np.array([4]))
+
+
+def _padded_reference(rows, lengths, t, d):
+    padded = np.zeros((len(lengths) * t, d))
+    valid = np.arange(t) < np.asarray(lengths)[:, None]
+    padded[valid.ravel()] = rows
+    return padded, valid
+
+
+def test_attention_lengths_match_padded_and_masked_reference(rng):
+    q_lengths, kv_lengths = np.array([3, 1, 2]), np.array([2, 4, 1])
+    d, heads = 6, 3
+    q = rng.standard_normal((int(q_lengths.sum()), d))
+    k = rng.standard_normal((int(kv_lengths.sum()), d))
+    v = rng.standard_normal((int(kv_lengths.sum()), d))
+    out = ag.attention(t64(q), t64(k), t64(v), batch=3, heads=heads,
+                       q_lengths=q_lengths, kv_lengths=kv_lengths)
+    assert out.shape == q.shape
+    q_pad, q_valid = _padded_reference(q, q_lengths, 3, d)
+    k_pad, kv_valid = _padded_reference(k, kv_lengths, 4, d)
+    v_pad, _ = _padded_reference(v, kv_lengths, 4, d)
+    ref = ag.attention(t64(q_pad), t64(k_pad), t64(v_pad), batch=3, heads=heads, kv_mask=kv_valid)
+    assert np.array_equal(out.data, ref.data[q_valid.ravel()])
+
+
+def test_attention_equal_lengths_are_the_unpadded_layout(rng):
+    q, kv = t64(rng.standard_normal((6, 4))), t64(rng.standard_normal((4, 4)))
+    plain = ag.attention(q, kv, kv, batch=2, heads=2)
+    lengths = ag.attention(q, kv, kv, batch=2, heads=2,
+                           q_lengths=np.array([3, 3]), kv_lengths=np.array([2, 2]))
+    assert plain.data.tobytes() == lengths.data.tobytes()
+
+
+def test_attention_lengths_are_checked():
+    q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
+    with pytest.raises(ShapeError, match="query lengths"):
+        ag.attention(q, kv, kv, batch=2, heads=2, q_lengths=np.array([3, 2]))
+    with pytest.raises(ShapeError, match="query lengths"):
+        ag.attention(q, kv, kv, batch=2, heads=2, q_lengths=np.array([4, 0]))
+    with pytest.raises(ShapeError, match="key/value lengths"):
+        ag.attention(q, kv, kv, batch=2, heads=2, kv_lengths=np.array([6]))
+    with pytest.raises(ShapeError, match="not both"):
+        ag.attention(q, kv, kv, batch=2, heads=2, kv_lengths=np.array([3, 3]),
+                     kv_mask=np.ones((2, 3), dtype=bool))
+
+
 def test_attention_rejects_bad_shapes_and_fully_masked_sequences():
     q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
     with pytest.raises(ShapeError, match="split"):
@@ -628,6 +746,18 @@ def _attention(q, k, v):
     return ag.attention(q, k, v, batch=2, heads=2, kv_mask=_ATT_MASK)
 
 
+# The same width and heads over real rows only: 3 sequences holding 1, 3
+# and 2 query rows and 2, 1 and 3 key/value rows.
+_LEN_Q, _LEN_KV = np.array([1, 3, 2]), np.array([2, 1, 3])
+_LEN_W = _R.standard_normal((6, 4))
+_LEN_QROWS = _R.standard_normal((6, 4))
+_LEN_POOL = np.array([2, 1, 3])
+
+
+def _attention_lengths(q, k, v):
+    return ag.attention(q, k, v, batch=3, heads=2, q_lengths=_LEN_Q, kv_lengths=_LEN_KV)
+
+
 OP_SWEEP = {
     "matmul_left": ((3, 4), lambda x: _weighted(ag.matmul(x, t64(_W42)), _W32)),
     "matmul_right": ((4, 2), lambda x: _weighted(ag.matmul(t64(_W34), x), _W32)),
@@ -666,6 +796,19 @@ OP_SWEEP = {
     "attention_q": ((4, 4), lambda x: _weighted(_attention(x, t64(_ATT_K), t64(_ATT_V)), _ATT_W)),
     "attention_k": ((6, 4), lambda x: _weighted(_attention(t64(_ATT_Q), x, t64(_ATT_V)), _ATT_W)),
     "attention_v": ((6, 4), lambda x: _weighted(_attention(t64(_ATT_Q), t64(_ATT_K), x), _ATT_W)),
+    "attention_lengths_q": (
+        (6, 4),
+        lambda x: _weighted(_attention_lengths(x, t64(_ATT_K), t64(_ATT_V)), _LEN_W),
+    ),
+    "attention_lengths_k": (
+        (6, 4),
+        lambda x: _weighted(_attention_lengths(t64(_LEN_QROWS), x, t64(_ATT_V)), _LEN_W),
+    ),
+    "attention_lengths_v": (
+        (6, 4),
+        lambda x: _weighted(_attention_lengths(t64(_LEN_QROWS), t64(_ATT_K), x), _LEN_W),
+    ),
+    "mean_pool_lengths": ((6, 4), lambda x: _weighted(ag.mean_pool(x, lengths=_LEN_POOL), _W34)),
     "concat": ((4,), lambda x: _weighted(ag.concat([x, t64(_V3)]), np.arange(7.0))),
     "concat_cols": ((3, 4), lambda x: _weighted(ag.concat_cols([x, t64(_W32)]), np.hstack([_W34, _W32]))),
     "stack_rows": ((4,), lambda x: _weighted(ag.stack_rows([x, t64(_V4)]), np.stack([_V4, _V4 + 1]))),

@@ -402,9 +402,25 @@ def test_tape_size_does_not_grow_with_batch(rng):
             cross_entropy(probs, [int(vf.label) for vf in batch])
         sizes.append(len(g))
     # Per pairing: four bias-fused projections, attention, dropout, the
-    # residual add, layer norm, the reshape back and the pool (10 x 3);
-    # concat_cols, the head matmul and softmax; five loss ops.
-    assert sizes == [38, 38], sizes
+    # residual add, layer norm and the pool (9 x 3); concat_cols, the head
+    # matmul and softmax; five loss ops.
+    assert sizes == [35, 35], sizes
+
+
+def test_expression_projections_see_only_real_rows(rng):
+    config = tiny_config(dropout=0.5)
+    params = init_params(config, seed=0)
+    videos = mixed_batch(rng, config.n, count=8)
+    real_rows = sum(max(vf.k, 1) for vf in videos)
+    assert real_rows < len(videos) * max(vf.k for vf in videos)  # the batch has padding
+    with Graph(Mode.TRAINING) as g:
+        forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
+    rows_into = {id(e.inputs[1]): e.inputs[0].shape[0] for e in g._tape if e.inputs[1:2]}
+    for (q_name, _), p in zip(config.pairings, params.pairings):
+        expect = real_rows if q_name == "expression" else len(videos) * config.n
+        assert rows_into[id(p.w_q)] == expect, q_name
+        assert rows_into[id(p.w_o)] == expect, q_name
+        assert rows_into[id(p.gamma)] == expect, q_name  # layer norm's input
 
 
 def test_forward_gradients_through_padding_match_finite_differences(rng):
@@ -416,6 +432,24 @@ def test_forward_gradients_through_padding_match_finite_differences(rng):
     videos = [
         make_video(rng, n_stored=3, k=k, dims=tiny_dims(4), label=i, video_id=f"g{i}")
         for i, k in enumerate((0, 1, 3))
+    ]
+    labels = [int(vf.label) for vf in videos]
+
+    def loss_fn(_ignored):
+        return cross_entropy(forward(videos, params, config), labels)
+
+    for name, tensor in params.named_tensors():
+        report = ag.grad_check(loss_fn, tensor, eps=1e-4, tol=1e-4)
+        assert report.passed, (name, str(report))
+
+
+def test_default_pairing_gradients_through_padded_queries_match_finite_differences(rng):
+    config = ModelConfig(input_dims=tiny_dims(4), d=4, heads=2, dropout_p=0.0, n=4)
+    params = init_params(config, seed=4, dtype=np.float64)
+    # k = 0, 1, 3 and n: a faceless video, two padded ones and a full one.
+    videos = [
+        make_video(rng, n_stored=4, k=k, dims=tiny_dims(4), label=i, video_id=f"g{i}")
+        for i, k in enumerate((0, 1, 3, 4))
     ]
     labels = [int(vf.label) for vf in videos]
 
@@ -494,6 +528,54 @@ def test_checkpoint_missing_parameter_detected(tmp_path):
     write_blocks(path, entries[:-1])  # drop head.bias
     with pytest.raises(ValueError, match="head.bias"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("heads", None),
+        ("dropout_p", None),
+        ("class_count", None),
+        ("input_dims", None),
+        ("d", "8"),
+        ("heads", 2.0),
+        ("n", True),
+        ("dropout_p", "0.5"),
+        ("input_dims", {"clip": "8"}),
+        ("pairings", [["clip"]]),
+        ("pairings", [["clip", 3]]),
+    ],
+)
+def test_checkpoint_header_field_missing_or_mistyped_is_a_value_error(tmp_path, field, value):
+    from vemoclap.container import entry_json, json_entry, read_blocks, write_blocks
+
+    config = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(config, seed=5), config, seed=5, stats_digest="x")
+    entries = read_blocks(path)
+    header = entry_json(entries[0])
+    if value is None:
+        del header["model_config"][field]
+    else:
+        header["model_config"][field] = value
+    entries[0] = json_entry("config", header)
+    write_blocks(path, entries)
+    with pytest.raises(ValueError, match=field):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_without_model_config_is_a_value_error(tmp_path):
+    from vemoclap.container import entry_json, json_entry, read_blocks, write_blocks
+
+    config = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(config, seed=5), config, seed=5, stats_digest="x")
+    entries = read_blocks(path)
+    for header in ({"kind": "vemoclap-checkpoint"}, ["not", "an", "object"]):
+        entries[0] = json_entry("config", header)
+        write_blocks(path, entries)
+        with pytest.raises(ValueError, match="model_config"):
+            load_checkpoint(path)
 
 
 def test_cross_attention_rejects_empty_sequences():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vemoclap.rng import SplitMix64
+from vemoclap.rng import RAW_CHUNK, SplitMix64
 
 
 def test_same_seed_same_stream():
@@ -18,6 +18,40 @@ def test_known_first_outputs_are_frozen():
         [16294208416658607535, 7960286522194355700, 487617019471545679], dtype=np.uint64
     )
     assert np.array_equal(got, expected)
+
+
+GOLDEN, MASK64 = 0x9E3779B97F4A7C15, 2**64 - 1
+
+
+def closed_form(seed: int, first: int, count: int) -> np.ndarray:
+    """mix64(seed + i * GOLDEN) for i = first .. first + count - 1, in wrapping uint64."""
+    i = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    with np.errstate(over="ignore"):
+        z = i * np.uint64(GOLDEN) + np.uint64(seed)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def test_closed_form_helper_agrees_with_python_ints():
+    seed, i = 2**64 - 5, 7
+    z = (seed + i * GOLDEN) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    assert int(closed_form(seed, i, 1)[0]) == z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("count", [0, 1, RAW_CHUNK - 1, RAW_CHUNK, RAW_CHUNK + 1, 262_144])
+@pytest.mark.parametrize("skip", [0, 3 * RAW_CHUNK - 2])
+def test_next_raw_matches_closed_form_bit_for_bit(count, skip):
+    seed = 0xFEEDFACE12345678
+    r = SplitMix64(seed)
+    r.next_raw(skip)
+    got = r.next_raw(count)
+    assert got.dtype == np.uint64 and got.shape == (count,)
+    assert np.array_equal(got, closed_form(seed, skip + 1, count))
+    # The counter advanced by exactly `count`.
+    assert r.next_raw(1)[0] == closed_form(seed, skip + count + 1, 1)[0]
 
 
 def test_counter_continuation_matches_one_shot():

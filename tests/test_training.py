@@ -328,6 +328,27 @@ def test_evaluate_order_independence():
     assert shuffled.predicted_labels == base.predicted_labels[::-1]
 
 
+def test_evaluate_matches_single_video_predictions_under_heavy_padding():
+    config = tiny_config(n=4, dropout=0.0)
+    rng = np.random.default_rng(12)
+    # Mostly faceless or one-face videos next to a full one: most of the
+    # batch's padded expression layout would be padding.
+    videos = [
+        make_video(rng, n_stored=4, k=(0, 1, 0, 4, 1, 0, 2)[i % 7], label=i % 6, video_id=f"p{i}")
+        for i in range(20)
+    ]
+    stats = compute_stats(None, videos=videos)
+    for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-10)):
+        params = init_params(config, seed=3, dtype=dtype)
+        result = evaluate(videos, params, config, stats)
+        for vf, row in zip(videos, result.probabilities):
+            _, alone = predict_label(vf, params, config, stats)
+            assert np.allclose(row, alone, rtol=0.0, atol=tol), vf.video_id
+        perm = np.random.default_rng(1).permutation(len(videos))
+        permuted = evaluate([videos[i] for i in perm], params, config, stats)
+        assert np.allclose(permuted.probabilities, result.probabilities[perm], rtol=0.0, atol=tol)
+
+
 def test_argmax_tie_breaks_to_lowest_label():
     config, params, train_videos, val_videos, stats = small_training_setup(seed=9)
     # Zero head makes every logit equal, so probabilities tie at exactly 1/6.
