@@ -51,7 +51,9 @@ def make_video(video_id, faces):
 
 
 # Face counts differ (2, 0 and 5 rows): the batch carries expression as
-# its 2 + 1 + 5 real rows, a faceless video keeping one zero row. Only the
+# its 2 + 1 + 5 real rows, a faceless video keeping one zero row, plus the
+# per-video lengths [2, 1, 5] -- the same rows-plus-lengths layout that
+# cross_attention takes above, there with one sequence per side. Only the
 # attention products pad to 5 rows; projections, dropout, layer norm and
 # the pool never see a padded row.
 videos = [

@@ -7,6 +7,11 @@ handful of pointwise/reduction ops.
 Values are float32 by default; float64 is supported so gradient
 verification can run at full precision.
 
+Sequences have one layout: the rows of B sequences stacked one after
+another as an [N, C] tensor, plus a [B] array of per-sequence row
+counts. `attention` and `mean_pool` take exactly that; only the products
+inside `attention` see a padded [B, heads, t, dh] layout.
+
 Execution model
 ---------------
 Ops run eagerly on numpy arrays. When a :class:`Graph` in TRAINING mode is
@@ -418,24 +423,17 @@ def dropout(x: Tensor, p: float, rng: Optional[SplitMix64] = None) -> Tensor:
     return _emit(x.data * scaled_mask, (x,), lambda g: (g * scaled_mask,), "dropout")
 
 
-def _layout(n_rows: int, batch: int, lengths, what: str) -> tuple[int, Optional[np.ndarray]]:
-    """(t, valid) for `n_rows` row-stacked rows of `batch` sequences.
+def _layout(n_rows: int, lengths, what: str) -> tuple[int, Optional[np.ndarray]]:
+    """(t, valid) for `n_rows` row-stacked rows of len(lengths) sequences.
 
-    Without `lengths` the rows split into `batch` equal sequences. With
-    them, sequence i holds lengths[i] >= 1 rows and the padded layout has
+    Sequence i holds lengths[i] >= 1 rows and the padded layout has
     t = max(lengths) rows per sequence. `valid` is the [batch, t] mask of
     real rows, or None when no row is padding, in which case the padded
     layout is a plain reshape of the rows.
     """
-    if lengths is None:
-        if batch < 1 or n_rows % batch:
-            raise ShapeError(f"cannot split {n_rows} {what} rows into {batch} sequences")
-        return n_rows // batch, None
     lengths = np.asarray(lengths)
-    if batch < 1 or lengths.shape != (batch,):
-        raise ShapeError(f"need {batch} {what} lengths, got shape {lengths.shape}")
-    if lengths.min() < 1 or int(lengths.sum()) != n_rows:
-        raise ShapeError(f"{what} lengths must be positive and sum to {n_rows} rows, got {lengths}")
+    if lengths.ndim != 1 or lengths.size < 1 or lengths.min() < 1 or int(lengths.sum()) != n_rows:
+        raise ShapeError(f"{what} lengths must be B >= 1 positive counts summing to {n_rows}: {lengths}")
     t = int(lengths.max())
     return t, None if lengths.min() == t else np.arange(t) < lengths[:, None]
 
@@ -463,33 +461,30 @@ def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    batch: int,
     heads: int,
+    q_lengths: np.ndarray,
+    kv_lengths: np.ndarray,
     kv_mask: Optional[np.ndarray] = None,
-    q_lengths: Optional[np.ndarray] = None,
-    kv_lengths: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over row-stacked sequences.
 
-    q is [N_q, d] and k, v are [N_kv, d]: the rows of `batch` sequences
-    stacked row-wise, each row split into `heads` column blocks of width
-    dh = d / heads. Without lengths the sequences are equally long (N / batch
-    rows each); `q_lengths` / `kv_lengths` give each sequence's row count
-    instead. Per sequence and head the op computes
+    q is [N_q, d] and k, v are [N_kv, d]: the rows of B sequences stacked
+    row-wise, sequence i holding q_lengths[i] query rows and kv_lengths[i]
+    key/value rows, each row split into `heads` column blocks of width
+    dh = d / heads. Per sequence and head the op computes
     softmax(q k^T / sqrt(dh) + bias) v, with the heads merged back into
     [N_q, d] rows.
 
-    Only the [batch, heads, t, dh] products see a padded layout: the rows
-    are scattered into zero-padded blocks of the longest sequence, padded
+    Only the [B, heads, t, dh] products see a padded layout: the rows are
+    scattered into zero-padded blocks of the longest sequence, padded
     key/value rows are masked out, and only the real query rows are
     gathered back, forward and backward. When no sequence is shorter than
     the longest, the blocks are a plain reshape of the rows.
 
-    `kv_mask`, when given, is a [batch, t_kv] boolean array with True
-    marking attendable key/value rows of equal-length sequences (it
-    excludes `kv_lengths`). Masked and padded rows get a -MASK_BIAS score
-    bias, which underflows to exactly zero weight after the softmax's
-    max-subtraction, so they also get exactly zero gradient.
+    `kv_mask`, when given, is an [N_kv] boolean array with True marking
+    attendable key/value rows. Masked and padded rows get a -MASK_BIAS
+    score bias, which underflows to exactly zero weight after the
+    softmax's max-subtraction, so they also get exactly zero gradient.
     """
     _same_dtype(q, k, v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -499,15 +494,18 @@ def attention(
         raise ShapeError(f"attention operand widths differ: {q.shape}, {k.shape}, {v.shape}")
     if heads < 1 or d % heads:
         raise ShapeError(f"width {d} is not divisible by heads={heads}")
-    t_q, q_pad = _layout(q.shape[0], batch, q_lengths, "query")
-    t_kv, kv_pad = _layout(k.shape[0], batch, kv_lengths, "key/value")
+    t_q, q_pad = _layout(q.shape[0], q_lengths, "query")
+    t_kv, kv_pad = _layout(k.shape[0], kv_lengths, "key/value")
+    batch = len(q_lengths)
+    if len(kv_lengths) != batch:
+        raise ShapeError(f"need {batch} key/value lengths, got {len(kv_lengths)}")
     kv_keep = kv_pad
     if kv_mask is not None:
-        if kv_lengths is not None:
-            raise ShapeError("attention takes kv_mask or kv_lengths, not both")
-        kv_keep = np.asarray(kv_mask, dtype=bool)
-        if kv_keep.shape != (batch, t_kv):
-            raise ShapeError(f"kv_mask must have shape ({batch}, {t_kv}), got {kv_keep.shape}")
+        kv_mask = np.asarray(kv_mask, dtype=bool)
+        if kv_mask.shape != (k.shape[0],):
+            raise ShapeError(f"kv_mask must have shape ({k.shape[0]},), got {kv_mask.shape}")
+        # Padded rows come out False.
+        kv_keep = _pad(kv_mask[:, None], batch, t_kv, kv_pad, 1)[:, 0, :, 0]
         if not kv_keep.any(axis=1).all():
             raise DegenerateInputError("attention: every key/value row of a sequence is masked")
     dt = q.dtype.type
@@ -538,57 +536,20 @@ def attention(
     return _emit(_unpad(np.matmul(weights, vh), q_pad), (q, k, v), vjp, "attention")
 
 
-def mean_pool(
-    x: Tensor, valid: Optional[np.ndarray] = None, lengths: Optional[np.ndarray] = None
-) -> Tensor:
-    """Mean over the temporal axis of a [t, c] or [b, t, c] tensor, or per segment.
+def mean_pool(x: Tensor, lengths: np.ndarray) -> Tensor:
+    """Per-sequence mean of [N, c] row-stacked sequences.
 
-    `valid`, when given, is a boolean row mask of shape [t] or [b, t]; the
-    mean runs over each sequence's unmasked rows only, and masked rows get
-    exactly zero gradient. A sequence with every row masked is a
-    degenerate-input error. The mean is the sum of the kept rows over
-    their count, so padding a sequence with masked rows leaves its mean
-    bit-identical.
-
-    `lengths` instead reads a 2-D x as row-stacked sequences: x holds
-    sum(lengths) >= 1 rows per sequence, and output row i is the mean of
-    sequence i's rows. They are summed in the padded [b, max(lengths), c]
-    layout, zeros after the real rows, which a plain reshape gives when
-    all lengths are equal; the sums are then bit-identical to `valid`
-    masking of that layout.
+    x holds lengths[i] >= 1 rows of sequence i after those of sequence
+    i - 1, N = sum(lengths), and output row i is the mean of sequence i's
+    rows. They are summed in the padded [b, max(lengths), c] layout, zeros
+    after the real rows (a plain reshape when all lengths are equal), and
+    divided by the length: bit for bit the masked mean of that layout.
     """
-    if lengths is not None:
-        return _segment_mean(x, lengths, valid)
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"mean_pool needs a [t, c] or [b, t, c] tensor, got {x.shape}")
-    if x.shape[-2] < 1:
-        raise ShapeError("mean_pool needs at least one row")
-    keep = np.ones(x.shape[:-1], dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
-    if keep.shape != x.shape[:-1]:
-        raise ShapeError(f"valid mask must have shape {x.shape[:-1]}, got {keep.shape}")
-    count = keep.sum(axis=-1, keepdims=True).astype(x.dtype)
-    if np.any(count == 0):
-        raise DegenerateInputError("mean_pool: every row is masked")
-    keep = keep.astype(x.dtype)[..., None]
-    out = (x.data * keep).sum(axis=-2) / count
-    weights = keep / count[..., None]
-
-    return _emit(out, (x,), lambda g: (weights * g[..., None, :],), "mean_pool")
-
-
-def _segment_mean(x: Tensor, lengths, valid) -> Tensor:
-    if valid is not None:
-        raise ShapeError("mean_pool takes valid or lengths, not both")
     if x.data.ndim != 2:
-        raise ShapeError(f"mean_pool with lengths needs [N, c] rows, got {x.shape}")
-    lengths = np.atleast_1d(lengths)
-    b, c = lengths.shape[0], x.shape[1]
-    t, pad = _layout(x.shape[0], b, lengths, "pooled")
-    if pad is None:
-        blocks = x.data.reshape(b, t, c)
-    else:
-        blocks = np.zeros((b, t, c), dtype=x.dtype)
-        blocks[pad] = x.data
+        raise ShapeError(f"mean_pool needs [N, c] rows, got {x.shape}")
+    lengths = np.asarray(lengths)
+    t, pad = _layout(x.shape[0], lengths, "pooled")
+    blocks = _pad(x.data, lengths.shape[0], t, pad, 1)[:, 0]
     count = lengths.astype(x.dtype)[:, None]
     inv = 1.0 / count
 

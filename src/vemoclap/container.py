@@ -236,11 +236,11 @@ def _encode_entry(entry: RawEntry) -> bytes:
     return b"".join(parts)
 
 
-def write_blocks(path, entries: Sequence[RawEntry], version: int = FORMAT_VERSION) -> None:
+def write_blocks(path, entries: Sequence[RawEntry]) -> None:
     """Serialize entries to `path` atomically (temp file + rename)."""
     if len(entries) > 255:
         raise SchemaError("at most 255 entries per container")
-    body = [MAGIC, struct.pack("<IB", version, len(entries))]
+    body = [MAGIC, struct.pack("<IB", FORMAT_VERSION, len(entries))]
     body.extend(_encode_entry(e) for e in entries)
     blob = b"".join(body)
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)

@@ -198,13 +198,18 @@ class ModalityStats:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ModalityStats":
+    def from_json_obj(cls, obj) -> "ModalityStats":
+        """Inverse of `to_json_obj`. Anything but finite 1-D min/max lists of
+        equal length with min <= max is a ValueError naming the modality."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"stats must be a JSON object, got {type(obj).__name__}")
         minima, maxima = {}, {}
         for name in MODALITY_NAMES:
             if name not in obj:
                 raise ValueError(f"stats file is missing modality {name!r}")
-            minima[name] = np.asarray(obj[name]["min"], dtype=np.float32)
-            maxima[name] = np.asarray(obj[name]["max"], dtype=np.float32)
+            entry = obj[name]
+            for key, out in (("min", minima), ("max", maxima)):
+                out[name] = _stats_bound(name, key, entry.get(key) if isinstance(entry, dict) else None)
             if minima[name].shape != maxima[name].shape:
                 raise ValueError(f"stats for {name!r} have mismatched min/max lengths")
             if np.any(minima[name] > maxima[name]):
@@ -217,6 +222,21 @@ class ModalityStats:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _stats_bound(name: str, key: str, bound) -> np.ndarray:
+    """One modality's "min" or "max" list as a finite 1-D float32 vector."""
+    # Integers at or past 2**128 overflow float() itself; smaller ones and
+    # floats past the float32 range become inf.
+    if not isinstance(bound, list) or not all(
+        type(v) is float or (type(v) is int and abs(v) < 2**128) for v in bound
+    ):
+        raise ValueError(f"stats for {name!r}: {key!r} must be a list of numbers")
+    with np.errstate(over="ignore"):
+        arr = np.asarray(bound, dtype=np.float32)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"stats for {name!r}: {key!r} holds values that are not finite float32")
+    return arr
+
+
 def save_stats(stats: ModalityStats, path) -> None:
     blob = json.dumps(stats.to_json_obj(), sort_keys=True, indent=1)
     atomic_write_bytes(path, (blob + "\n").encode("utf-8"))
@@ -224,7 +244,11 @@ def save_stats(stats: ModalityStats, path) -> None:
 
 def load_stats(path) -> ModalityStats:
     with open(path, encoding="utf-8") as fh:
-        return ModalityStats.from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"stats file {path} nests too deeply") from None
+    return ModalityStats.from_json_obj(obj)
 
 
 def compute_stats(

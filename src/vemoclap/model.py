@@ -11,8 +11,9 @@ post-norm residual, dropout on the output projection) over those rows,
 is mean-pooled over each video's rows into one d-vector per video, and
 the three pooled vectors plus the two sentiment vectors are
 concatenated into one row per video. A linear layer and softmax produce
-the [B, 6] class probabilities. Only the attention products inside
-`autograd.attention` pad sequences to a common length.
+the [B, 6] class probabilities. `cross_attention` takes that layout and
+no other; only the attention products inside `autograd.attention` pad
+sequences to a common length.
 
 No positional encoding anywhere: temporal pooling discards order, which
 makes key/value-row permutation invariance an exact property of the
@@ -254,24 +255,9 @@ def param_count(params: FusionParams) -> int:
     return sum(t.size for _, t in params.named_tensors())
 
 
-def _as_rows(seq: Tensor, lengths, what: str) -> tuple[Tensor, Optional[np.ndarray], int]:
-    """(rows [N, C], per-sequence lengths or None, batch size) of a sequence argument."""
-    if lengths is not None:
-        if seq.data.ndim != 2:
-            raise ag.ShapeError(f"{what} rows with lengths must be 2-D, got {seq.shape}")
-        lengths = np.atleast_1d(lengths)
-        return seq, lengths, lengths.shape[0]
-    if seq.data.ndim == 3:
-        b, t, c = seq.shape
-        return ag.reshape(seq, (b * t, c)), None, b
-    if seq.data.ndim == 2:
-        return seq, None, 1
-    raise ag.ShapeError(f"cross_attention needs a 2-D or 3-D {what} sequence, got {seq.shape}")
-
-
 def cross_attention(
-    q_seq: Tensor,
-    kv_seq: Tensor,
+    q_rows: Tensor,
+    kv_rows: Tensor,
     params: AttentionParams,
     heads: int,
     dropout_p: float = 0.0,
@@ -282,52 +268,34 @@ def cross_attention(
 ) -> Tensor:
     """Multi-head scaled dot-product attention over a (query, key/value) pair.
 
-    Each side is a batch of B sequences in one of three forms: [B, T, C];
-    one [T, C] sequence, a batch of one; or [N, C] rows with `q_lengths` /
-    `kv_lengths` giving each sequence's row count (the rows of sequence i
-    follow those of sequence i - 1, and N is the sum of the lengths). The
-    output has the query's form with width d. Handles unequal temporal
-    lengths.
+    Each side is [N, C] rows of B sequences stacked one after another,
+    with `q_lengths` / `kv_lengths` giving each sequence's row count;
+    without lengths, a side's rows are one sequence. The output is the
+    query's [N_q, d] rows. Handles unequal temporal lengths.
 
     Every step runs on the real rows only: one bias-fused matmul per
     projection over the stacked rows, attention, the output projection,
     dropout (TRAINING graphs only), the residual onto the projected query,
     then layer norm. Only the products inside `autograd.attention` see a
-    padded layout. `kv_mask` ([B, Tkv], or [Tkv] for a 2-D pair), when
-    given, marks attendable key/value rows with True; masked rows get a
-    -1e9 score bias, which underflows to exactly zero weight after the
-    softmax's max-subtraction.
+    padded layout. `kv_mask` ([N_kv]), when given, marks attendable
+    key/value rows with True; masked rows get a -1e9 score bias, which
+    underflows to exactly zero weight after the softmax's max-subtraction.
     """
-    q_rows, q_lengths, b = _as_rows(q_seq, q_lengths, "query")
-    kv_rows, kv_lengths, b_kv = _as_rows(kv_seq, kv_lengths, "key/value")
-    if b != b_kv:
-        raise ag.ShapeError(f"cross_attention batch sizes differ: {q_seq.shape} and {kv_seq.shape}")
-    if b < 1 or q_rows.shape[0] < 1 or kv_rows.shape[0] < 1:
-        raise ag.ShapeError(
-            f"cross_attention needs nonempty sequences, got {q_seq.shape} and {kv_seq.shape}"
-        )
-    d = params.w_q.shape[1]
-    if d % heads != 0:
-        raise ConfigError(f"d={d} not divisible by heads={heads}")
-    if kv_mask is not None:
-        kv_mask = np.asarray(kv_mask, dtype=bool)
-        expect = kv_seq.shape[:-1]
-        if kv_mask.shape != expect:
-            raise ag.ShapeError(f"kv_mask must have shape {expect}, got {kv_mask.shape}")
-        if kv_lengths is None:
-            kv_mask = kv_mask.reshape(b, -1)
-
+    shapes = (q_rows.shape, kv_rows.shape)
+    if any(len(shape) != 2 or shape[0] < 1 for shape in shapes):
+        raise ag.ShapeError(f"cross_attention needs nonempty [N, C] rows, got {shapes}")
     q_proj = ag.matmul(q_rows, params.w_q, params.b_q)
     k_proj = ag.matmul(kv_rows, params.w_k, params.b_k)
     v_proj = ag.matmul(kv_rows, params.w_v, params.b_v)
     merged = ag.attention(
-        q_proj, k_proj, v_proj, batch=b, heads=heads,
-        kv_mask=kv_mask, q_lengths=q_lengths, kv_lengths=kv_lengths,
+        q_proj, k_proj, v_proj, heads,
+        q_lengths=[q_rows.shape[0]] if q_lengths is None else q_lengths,
+        kv_lengths=[kv_rows.shape[0]] if kv_lengths is None else kv_lengths,
+        kv_mask=kv_mask,
     )
     projected = ag.matmul(merged, params.w_o, params.b_o)
     projected = ag.dropout(projected, dropout_p, rng)
-    out = ag.layer_norm(ag.add(projected, q_proj), params.gamma, params.beta)
-    return ag.reshape(out, (b, q_seq.shape[1], d)) if q_seq.data.ndim == 3 else out
+    return ag.layer_norm(ag.add(projected, q_proj), params.gamma, params.beta)
 
 
 def _batch_arrays(

@@ -199,16 +199,10 @@ def _restore(params: FusionParams, snapshot: dict[str, np.ndarray]) -> None:
         t.data = snapshot[name].copy()
 
 
-def predict_probs(
-    vf: VideoFeatures, params: FusionParams, config: ModelConfig, stats: ModalityStats
-) -> np.ndarray:
-    """Inference-mode probabilities with equidistant sampling (test conditions)."""
-    return _predict_batch([vf], params, config, stats)[0]
-
-
 def _predict_batch(
     videos: Sequence[VideoFeatures], params: FusionParams, config: ModelConfig, stats: ModalityStats
 ) -> np.ndarray:
+    """Inference-mode [B, 6] probabilities with equidistant sampling (test conditions)."""
     prepared = [
         _prepare(vf, sample_indices(vf.n_stored, config.n, mode="equidistant"), stats)
         for vf in videos
@@ -221,7 +215,7 @@ def predict_label(
     vf: VideoFeatures, params: FusionParams, config: ModelConfig, stats: ModalityStats
 ) -> tuple[int, np.ndarray]:
     """Argmax prediction; ties break toward the lowest label index."""
-    probs = predict_probs(vf, params, config, stats)
+    probs = _predict_batch([vf], params, config, stats)[0]
     return int(np.argmax(probs)), probs
 
 

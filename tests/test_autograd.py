@@ -52,7 +52,7 @@ BIG = np.float32(3e38)
         ("mul", lambda x: ag.mul(x, x)),
         ("matmul", lambda x: ag.matmul(x, ag.reshape(x, (2, 1)))),
         ("log", lambda x: ag.log(ag.scale(x, -1.0))),
-        ("mean_pool", lambda x: ag.mean_pool(ag.reshape(x, (2, 1)))),
+        ("mean_pool", lambda x: ag.mean_pool(ag.reshape(x, (2, 1)), [2])),
         (
             "layer_norm",
             lambda x: ag.layer_norm(ag.scale(x, 0.0), ag.reshape(x, (2,)), ag.reshape(x, (2,)), eps=0.0),
@@ -368,36 +368,30 @@ def test_dropout_backward_scales_by_saved_mask():
 
 def test_mean_pool_single_row():
     x = Tensor([[3.0, -1.0, 2.0]])
-    assert np.array_equal(ag.mean_pool(x).data, np.array([3.0, -1.0, 2.0], dtype=np.float32))
+    assert np.array_equal(ag.mean_pool(x, [1]).data, np.array([[3.0, -1.0, 2.0]], dtype=np.float32))
 
 
 def test_mean_pool_symmetry():
-    out = ag.mean_pool(Tensor([[0.0, 2.0], [2.0, 0.0]]))
-    assert np.array_equal(out.data, np.array([1.0, 1.0], dtype=np.float32))
+    out = ag.mean_pool(Tensor([[0.0, 2.0], [2.0, 0.0]]), [2])
+    assert np.array_equal(out.data, np.array([[1.0, 1.0]], dtype=np.float32))
 
 
-def test_mean_pool_masked_equals_slice_mean(rng):
-    x = rng.standard_normal((5, 7))
-    valid = np.array([True, False, True, False, True])
-    out = ag.mean_pool(t64(x), valid=valid)
-    assert np.array_equal(out.data, x[valid].mean(axis=0))
-
-
-def test_mean_pool_all_masked_is_degenerate():
-    with pytest.raises(DegenerateInputError):
-        ag.mean_pool(Tensor(np.ones((3, 2), dtype=np.float32)), valid=np.zeros(3, dtype=bool))
+def test_mean_pool_segments_equal_slice_means(rng):
+    x = rng.standard_normal((6, 7))
+    out = ag.mean_pool(t64(x), [2, 1, 3])
+    assert np.array_equal(out.data, np.stack([x[:2].mean(axis=0), x[2], x[3:].mean(axis=0)]))
 
 
 def test_mean_pool_gradients(rng):
     x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-    valid = np.array([True, True, False, True, False])
-    w = rng.standard_normal(3)
+    lengths = np.array([3, 2])
+    w = rng.standard_normal((2, 3))
 
     def loss():
-        return float((ag.mean_pool(x, valid=valid).data * w).sum())
+        return float((ag.mean_pool(x, lengths).data * w).sum())
 
     with Graph(Mode.TRAINING) as g:
-        out = ag.sum_all(ag.mul(ag.mean_pool(x, valid=valid), t64(w)))
+        out = ag.sum_all(ag.mul(ag.mean_pool(x, lengths), t64(w)))
     g.backward(out)
     assert max_rel_err(x.grad, finite_difference(loss, x.data)) < 1e-6
 
@@ -449,20 +443,23 @@ def test_mean_pool_lengths_equal_masked_padded_mean_bit_for_bit(rng):
     valid = np.arange(4) < lengths[:, None]
     padded = np.zeros((4, 4, 5), dtype=np.float32)
     padded[valid] = rows
-    out = ag.mean_pool(Tensor(rows), lengths=lengths)
-    assert out.data.tobytes() == ag.mean_pool(Tensor(padded), valid=valid).data.tobytes()
+    out = ag.mean_pool(Tensor(rows), lengths)
+    masked_mean = (padded * valid[..., None]).sum(1) / valid.sum(1, keepdims=True).astype(np.float32)
+    assert out.data.tobytes() == masked_mean.tobytes()
     # Equal lengths read the rows as a plain [b, t, c] reshape.
-    even = ag.mean_pool(Tensor(rows[:8]), lengths=np.array([4, 4]))
-    assert even.data.tobytes() == ag.mean_pool(Tensor(rows[:8].reshape(2, 4, 5))).data.tobytes()
+    even = ag.mean_pool(Tensor(rows[:8]), np.array([4, 4]))
+    assert even.data.tobytes() == (rows[:8].reshape(2, 4, 5).sum(1) / np.float32(4)).tobytes()
 
 
 def test_mean_pool_lengths_are_checked():
     x = Tensor(np.ones((4, 2), dtype=np.float32))
-    for bad in ([2, 1], [4, 0], [5, -1]):
-        with pytest.raises(ShapeError):
-            ag.mean_pool(x, lengths=np.array(bad))
-    with pytest.raises(ShapeError, match="not both"):
-        ag.mean_pool(x, valid=np.ones(4, dtype=bool), lengths=np.array([4]))
+    for bad in ([2, 1], [4, 0], [5, -1], [], [[4]], 4):
+        with pytest.raises(ShapeError, match="pooled lengths"):
+            ag.mean_pool(x, np.array(bad))
+    with pytest.raises(ShapeError, match=r"\[N, c\] rows"):
+        ag.mean_pool(Tensor(np.ones((1, 4, 2), dtype=np.float32)), [4])
+    with pytest.raises(TypeError):
+        ag.mean_pool(x)  # lengths are required
 
 
 def _padded_reference(rows, lengths, t, d):
@@ -478,47 +475,82 @@ def test_attention_lengths_match_padded_and_masked_reference(rng):
     q = rng.standard_normal((int(q_lengths.sum()), d))
     k = rng.standard_normal((int(kv_lengths.sum()), d))
     v = rng.standard_normal((int(kv_lengths.sum()), d))
-    out = ag.attention(t64(q), t64(k), t64(v), batch=3, heads=heads,
-                       q_lengths=q_lengths, kv_lengths=kv_lengths)
+    out = ag.attention(t64(q), t64(k), t64(v), heads, q_lengths, kv_lengths)
     assert out.shape == q.shape
     q_pad, q_valid = _padded_reference(q, q_lengths, 3, d)
     k_pad, kv_valid = _padded_reference(k, kv_lengths, 4, d)
     v_pad, _ = _padded_reference(v, kv_lengths, 4, d)
-    ref = ag.attention(t64(q_pad), t64(k_pad), t64(v_pad), batch=3, heads=heads, kv_mask=kv_valid)
+    ref = ag.attention(t64(q_pad), t64(k_pad), t64(v_pad), heads, [3, 3, 3], [4, 4, 4],
+                       kv_mask=kv_valid.ravel())
     assert np.array_equal(out.data, ref.data[q_valid.ravel()])
 
 
 def test_attention_equal_lengths_are_the_unpadded_layout(rng):
-    q, kv = t64(rng.standard_normal((6, 4))), t64(rng.standard_normal((4, 4)))
-    plain = ag.attention(q, kv, kv, batch=2, heads=2)
-    lengths = ag.attention(q, kv, kv, batch=2, heads=2,
-                           q_lengths=np.array([3, 3]), kv_lengths=np.array([2, 2]))
-    assert plain.data.tobytes() == lengths.data.tobytes()
+    # Equal lengths need no padding: each sequence's rows come out exactly
+    # as when it runs alone.
+    q, kv = rng.standard_normal((6, 4)), rng.standard_normal((4, 4))
+    both = ag.attention(t64(q), t64(kv), t64(kv), 2, np.array([3, 3]), np.array([2, 2]))
+    for i in range(2):
+        qi, kvi = t64(q[3 * i:3 * i + 3]), t64(kv[2 * i:2 * i + 2])
+        alone = ag.attention(qi, kvi, kvi, 2, [3], [2])
+        assert both.data[3 * i:3 * i + 3].tobytes() == alone.data.tobytes()
 
 
 def test_attention_lengths_are_checked():
     q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
-    with pytest.raises(ShapeError, match="query lengths"):
-        ag.attention(q, kv, kv, batch=2, heads=2, q_lengths=np.array([3, 2]))
-    with pytest.raises(ShapeError, match="query lengths"):
-        ag.attention(q, kv, kv, batch=2, heads=2, q_lengths=np.array([4, 0]))
-    with pytest.raises(ShapeError, match="key/value lengths"):
-        ag.attention(q, kv, kv, batch=2, heads=2, kv_lengths=np.array([6]))
-    with pytest.raises(ShapeError, match="not both"):
-        ag.attention(q, kv, kv, batch=2, heads=2, kv_lengths=np.array([3, 3]),
-                     kv_mask=np.ones((2, 3), dtype=bool))
+    for bad in ([3, 2], [4, 0], [], [[2, 2]]):
+        with pytest.raises(ShapeError, match="query lengths"):
+            ag.attention(q, kv, kv, 2, np.array(bad), [3, 3])
+    for bad in ([6], [2, 2]):
+        with pytest.raises(ShapeError, match="key/value lengths"):
+            ag.attention(q, kv, kv, 2, [2, 2], np.array(bad))
+    with pytest.raises(TypeError):
+        ag.attention(q, kv, kv, 2)  # lengths are required
 
 
 def test_attention_rejects_bad_shapes_and_fully_masked_sequences():
     q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
-    with pytest.raises(ShapeError, match="split"):
-        ag.attention(q, kv, kv, batch=4, heads=2)
+    with pytest.raises(ShapeError, match="2-D"):
+        ag.attention(t64(np.ones((2, 2, 4))), kv, kv, 2, [2, 2], [3, 3])
     with pytest.raises(ShapeError, match="heads"):
-        ag.attention(q, kv, kv, batch=2, heads=3)
-    with pytest.raises(ShapeError, match="kv_mask"):
-        ag.attention(q, kv, kv, batch=2, heads=2, kv_mask=np.ones((2, 2), dtype=bool))
+        ag.attention(q, kv, kv, 3, [2, 2], [3, 3])
+    for bad in ((2, 3), (5,)):
+        with pytest.raises(ShapeError, match="kv_mask"):
+            ag.attention(q, kv, kv, 2, [2, 2], [3, 3], kv_mask=np.ones(bad, dtype=bool))
     with pytest.raises(DegenerateInputError):
-        ag.attention(q, kv, kv, batch=2, heads=2, kv_mask=np.array([[True] * 3, [False] * 3]))
+        ag.attention(q, kv, kv, 2, [2, 2], [3, 3], kv_mask=np.array([True] * 3 + [False] * 3))
+    # Unequal lengths: the second sequence's 4 rows are all masked.
+    with pytest.raises(DegenerateInputError):
+        ag.attention(q, kv, kv, 2, [2, 2], [2, 4], kv_mask=np.array([False, True] + [False] * 4))
+
+
+def _attention_alone(q, k, v, heads, q_lengths, kv_lengths, kv_mask):
+    """Reference: attention run one sequence at a time, masked rows removed."""
+    q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+    out = []
+    for i in range(len(q_lengths)):
+        qi = q[q_ends[i] - q_lengths[i]:q_ends[i]]
+        keep = np.arange(kv_ends[i] - kv_lengths[i], kv_ends[i])
+        keep = keep[kv_mask[keep]]
+        out.append(ag.attention(t64(qi), t64(k[keep]), t64(v[keep]), heads, [len(qi)], [len(keep)]).data)
+    return np.concatenate(out)
+
+
+def test_attention_row_mask_with_unequal_lengths_drops_the_masked_rows(rng):
+    d, heads = 6, 3
+    for trial in range(20):
+        batch = int(rng.integers(1, 5))
+        q_lengths = rng.integers(1, 5, batch)
+        kv_lengths = rng.integers(1, 6, batch)
+        kv_mask = rng.random(int(kv_lengths.sum())) < 0.6
+        # Every sequence keeps at least one attendable row.
+        kv_mask[np.cumsum(kv_lengths) - 1 - rng.integers(0, kv_lengths)] = True
+        q = rng.standard_normal((int(q_lengths.sum()), d))
+        k = rng.standard_normal((int(kv_lengths.sum()), d))
+        v = rng.standard_normal((int(kv_lengths.sum()), d))
+        out = ag.attention(t64(q), t64(k), t64(v), heads, q_lengths, kv_lengths, kv_mask=kv_mask)
+        ref = _attention_alone(q, k, v, heads, q_lengths, kv_lengths, kv_mask)
+        assert np.max(np.abs(out.data - ref)) <= 1e-12, trial
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +761,6 @@ _V3 = _R.standard_normal(3)
 _V12 = _R.standard_normal(12)
 _GAMMA = _R.uniform(0.5, 1.5, 4)
 _BETA = _R.standard_normal(4)
-_MASK3 = np.array([True, False, True])
-_MASK23 = np.array([[True, False, True], [True, True, False]])
 _W24 = _R.standard_normal((2, 4))
 # attention: 2 sequences, 2 query rows and 3 key/value rows each, width 4
 # split into 2 heads; one key/value row per sequence is masked.
@@ -739,11 +769,11 @@ _ATT_K = _R.standard_normal((6, 4))
 _ATT_V = _R.standard_normal((6, 4))
 _ATT_W = _R.standard_normal((4, 4))
 _V2 = _R.standard_normal(2)
-_ATT_MASK = np.array([[True, False, True], [False, True, True]])
+_ATT_MASK = np.array([True, False, True, False, True, True])
 
 
 def _attention(q, k, v):
-    return ag.attention(q, k, v, batch=2, heads=2, kv_mask=_ATT_MASK)
+    return ag.attention(q, k, v, 2, [2, 2], [3, 3], kv_mask=_ATT_MASK)
 
 
 # The same width and heads over real rows only: 3 sequences holding 1, 3
@@ -755,7 +785,16 @@ _LEN_POOL = np.array([2, 1, 3])
 
 
 def _attention_lengths(q, k, v):
-    return ag.attention(q, k, v, batch=3, heads=2, q_lengths=_LEN_Q, kv_lengths=_LEN_KV)
+    return ag.attention(q, k, v, 2, _LEN_Q, _LEN_KV)
+
+
+# Those lengths with one masked key/value row in each sequence that has
+# more than one.
+_LEN_KV_MASK = np.array([True, False, True, False, True, True])
+
+
+def _attention_lengths_masked(q, k, v):
+    return ag.attention(q, k, v, 2, _LEN_Q, _LEN_KV, kv_mask=_LEN_KV_MASK)
 
 
 OP_SWEEP = {
@@ -787,12 +826,8 @@ OP_SWEEP = {
         (3, 4),
         lambda x: _weighted(ag.dropout(x, 0.25, SplitMix64(11).derive("sweep")), _W34),
     ),
-    "mean_pool": ((3, 4), lambda x: _weighted(ag.mean_pool(x), _V4)),
-    "mean_pool_masked": ((3, 4), lambda x: _weighted(ag.mean_pool(x, valid=_MASK3), _V4)),
-    "mean_pool_batched_masked": (
-        (2, 3, 4),
-        lambda x: _weighted(ag.mean_pool(x, valid=_MASK23), _W24),
-    ),
+    "mean_pool": ((3, 4), lambda x: _weighted(ag.mean_pool(x, [3]), _V4[None])),
+    "mean_pool_equal_lengths": ((6, 4), lambda x: _weighted(ag.mean_pool(x, [3, 3]), _W24)),
     "attention_q": ((4, 4), lambda x: _weighted(_attention(x, t64(_ATT_K), t64(_ATT_V)), _ATT_W)),
     "attention_k": ((6, 4), lambda x: _weighted(_attention(t64(_ATT_Q), x, t64(_ATT_V)), _ATT_W)),
     "attention_v": ((6, 4), lambda x: _weighted(_attention(t64(_ATT_Q), t64(_ATT_K), x), _ATT_W)),
@@ -808,7 +843,19 @@ OP_SWEEP = {
         (6, 4),
         lambda x: _weighted(_attention_lengths(t64(_LEN_QROWS), t64(_ATT_K), x), _LEN_W),
     ),
-    "mean_pool_lengths": ((6, 4), lambda x: _weighted(ag.mean_pool(x, lengths=_LEN_POOL), _W34)),
+    "attention_lengths_masked_q": (
+        (6, 4),
+        lambda x: _weighted(_attention_lengths_masked(x, t64(_ATT_K), t64(_ATT_V)), _LEN_W),
+    ),
+    "attention_lengths_masked_k": (
+        (6, 4),
+        lambda x: _weighted(_attention_lengths_masked(t64(_LEN_QROWS), x, t64(_ATT_V)), _LEN_W),
+    ),
+    "attention_lengths_masked_v": (
+        (6, 4),
+        lambda x: _weighted(_attention_lengths_masked(t64(_LEN_QROWS), t64(_ATT_K), x), _LEN_W),
+    ),
+    "mean_pool_lengths": ((6, 4), lambda x: _weighted(ag.mean_pool(x, _LEN_POOL), _W34)),
     "concat": ((4,), lambda x: _weighted(ag.concat([x, t64(_V3)]), np.arange(7.0))),
     "concat_cols": ((3, 4), lambda x: _weighted(ag.concat_cols([x, t64(_W32)]), np.hstack([_W34, _W32]))),
     "stack_rows": ((4,), lambda x: _weighted(ag.stack_rows([x, t64(_V4)]), np.stack([_V4, _V4 + 1]))),

@@ -79,7 +79,10 @@ def test_version_mismatch(tmp_path, rng):
         json_entry("meta", {"video_id": vf.video_id, "label": vf.label.label_name}),
         array_entry("clip", vf.clip),
     ]
-    write_blocks(path, entries, version=99)
+    write_blocks(path, entries)
+    body = bytearray(path.read_bytes()[:-4])
+    body[4:8] = struct.pack("<I", 99)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
     with pytest.raises(VersionError):
         read_blocks(path)
 

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -130,6 +131,42 @@ def test_stats_json_round_trip(tmp_path, rng):
         assert np.array_equal(loaded.minima[name], stats.minima[name])
         assert np.array_equal(loaded.maxima[name], stats.maxima[name])
     assert loaded.digest() == stats.digest()
+
+
+@pytest.mark.parametrize(
+    "clip",
+    [
+        [],
+        {"min": [0.0]},
+        {"min": [[0.0]], "max": [[1.0]]},
+        {"min": [float("nan")], "max": [1.0]},
+        {"min": [0.0], "max": [float("inf")]},
+        {"min": [0.0], "max": [1e39]},
+        {"min": [0.0], "max": [10**400]},
+        {"min": [False], "max": [True]},
+        {"min": ["0"], "max": [1.0]},
+        {"min": [0.0, 1.0], "max": [1.0]},
+        {"min": [2.0], "max": [1.0]},
+    ],
+    ids=["not-object", "no-max", "2-d", "nan", "inf", "float32-overflow", "huge-int", "bool",
+         "string", "lengths-differ", "min-above-max"],
+)
+def test_bad_stats_bounds_are_value_errors_naming_the_modality(tmp_path, clip):
+    obj = make_stats([0.0], [1.0]).to_json_obj()
+    obj["clip"] = clip
+    path = tmp_path / "stats.json"
+    # json writes NaN/Infinity tokens and Python ints of any size, as a hand-edited file may hold.
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="'clip'"):
+        load_stats(path)
+
+
+def test_stats_file_must_be_an_object(tmp_path):
+    for text in ("[1, 2]", "3", "[" * 100_000):
+        path = tmp_path / "stats.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_stats(path)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def test_query_permutation_equivariance():
     )
     assert np.allclose(permuted.data, base.data[perm], atol=1e-5)
     assert np.allclose(
-        ag.mean_pool(permuted).data, ag.mean_pool(base).data, atol=1e-5
+        ag.mean_pool(permuted, [4]).data, ag.mean_pool(base, [4]).data, atol=1e-5
     )
 
 
@@ -345,35 +345,39 @@ def test_forward_batch_permutation_permutes_rows(rng):
 
 
 def test_padded_rows_get_zero_weight_and_zero_gradient():
+    # Two sequences of 3 and 1 query rows and 3 and 2 key/value rows; the
+    # shorter key/value sequence is padded inside attention, and one row of
+    # each is masked.
     p = f64_pairing_params(seed=9, d=8, heads=2, dq=5, dkv=3)
     rng = np.random.default_rng(6)
-    q_valid = np.array([[True, True, True, False], [True, False, False, False]])
-    kv_valid = np.array([[True, True, False], [True, True, True]])
-    q_data = rng.standard_normal((2, 4, 5))
-    kv_data = rng.standard_normal((2, 3, 3))
+    q_lengths, kv_lengths = np.array([3, 1]), np.array([3, 2])
+    kv_valid = np.array([True, False, True, True, False])
+    q_data = rng.standard_normal((4, 5))
+    kv_data = rng.standard_normal((5, 3))
     w = rng.standard_normal((2, 8))
 
     def pooled(q_arr, kv_arr, requires_grad=False):
-        q_seq = Tensor(q_arr, requires_grad=requires_grad, dtype=np.float64)
-        kv_seq = Tensor(kv_arr, requires_grad=requires_grad, dtype=np.float64)
+        q_rows = Tensor(q_arr, requires_grad=requires_grad, dtype=np.float64)
+        kv_rows = Tensor(kv_arr, requires_grad=requires_grad, dtype=np.float64)
         with Graph(Mode.TRAINING) as g:
-            out = ag.mean_pool(cross_attention(q_seq, kv_seq, p, heads=2, kv_mask=kv_valid), q_valid)
+            attn = cross_attention(
+                q_rows, kv_rows, p, heads=2, kv_mask=kv_valid, q_lengths=q_lengths, kv_lengths=kv_lengths
+            )
+            out = ag.mean_pool(attn, q_lengths)
             loss = ag.sum_all(ag.mul(out, Tensor(w, dtype=np.float64)))
-        return out, loss, g, q_seq, kv_seq
+        return out, loss, g, q_rows, kv_rows
 
-    base, loss, g, q_seq, kv_seq = pooled(q_data, kv_data, requires_grad=True)
+    base, loss, g, q_rows, kv_rows = pooled(q_data, kv_data, requires_grad=True)
     g.backward(loss)
-    # Padded rows get exactly zero gradient; real rows do get some.
-    assert np.all(q_seq.grad[~q_valid] == 0.0)
-    assert np.all(kv_seq.grad[~kv_valid] == 0.0)
-    assert np.all(np.abs(q_seq.grad[q_valid]).sum(axis=-1) > 0.0)
-    assert np.all(np.abs(kv_seq.grad[kv_valid]).sum(axis=-1) > 0.0)
+    # Masked rows get exactly zero gradient; real rows do get some.
+    assert np.all(kv_rows.grad[~kv_valid] == 0.0)
+    assert np.all(np.abs(q_rows.grad).sum(axis=-1) > 0.0)
+    assert np.all(np.abs(kv_rows.grad[kv_valid]).sum(axis=-1) > 0.0)
 
-    # Zero weight: whatever the padded rows hold, the pooled output is the same.
-    q_junk, kv_junk = q_data.copy(), kv_data.copy()
-    q_junk[~q_valid] = 1e3 * rng.standard_normal((int((~q_valid).sum()), 5))
+    # Zero weight: whatever the masked rows hold, the pooled output is the same.
+    kv_junk = kv_data.copy()
     kv_junk[~kv_valid] = 1e3 * rng.standard_normal((int((~kv_valid).sum()), 3))
-    assert np.array_equal(pooled(q_junk, kv_junk)[0].data, base.data)
+    assert np.array_equal(pooled(q_data, kv_junk)[0].data, base.data)
 
 
 def test_padded_key_rows_get_exactly_zero_attention_weight():
@@ -385,8 +389,8 @@ def test_padded_key_rows_get_exactly_zero_attention_weight():
     for row in range(4):
         v_data = np.zeros((2 * 4, 4))
         v_data[row::4] = 1.0
-        weights = ag.attention(q, k, Tensor(v_data, dtype=np.float64), batch=2, heads=2,
-                               kv_mask=mask).data.reshape(2, 3, 4)
+        weights = ag.attention(q, k, Tensor(v_data, dtype=np.float64), 2, [3, 3], [4, 4],
+                               kv_mask=mask.ravel()).data.reshape(2, 3, 4)
         assert np.all(weights[~mask[:, row]] == 0.0)
         assert np.all(weights[mask[:, row]] > 0.0)
 
@@ -576,6 +580,24 @@ def test_checkpoint_header_without_model_config_is_a_value_error(tmp_path):
         write_blocks(path, entries)
         with pytest.raises(ValueError, match="model_config"):
             load_checkpoint(path)
+
+
+def test_cross_attention_takes_rows_only():
+    p = f64_pairing_params()
+    q_rows, kv_rows = np.ones((4, 5)), np.ones((3, 3))
+    with pytest.raises(ShapeError, match="rows"):
+        cross_attention(Tensor(q_rows.reshape(2, 2, 5), dtype=np.float64),
+                        Tensor(kv_rows, dtype=np.float64), p, heads=2)
+    with pytest.raises(ShapeError, match="rows"):
+        cross_attention(Tensor(q_rows, dtype=np.float64),
+                        Tensor(kv_rows.reshape(1, 3, 3), dtype=np.float64), p, heads=2)
+    # Without lengths a side's rows are one sequence.
+    one = cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=2)
+    same = cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
+                           heads=2, q_lengths=[4], kv_lengths=[3])
+    assert one.data.tobytes() == same.data.tobytes()
+    with pytest.raises(ShapeError, match="heads"):
+        cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=3)
 
 
 def test_cross_attention_rejects_empty_sequences():
