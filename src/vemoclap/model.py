@@ -28,8 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +81,11 @@ class ModelConfig:
         missing = [m for m in MODALITY_NAMES if m not in self.input_dims]
         if missing:
             raise ConfigError(f"input_dims missing modalities: {missing}")
+        narrow = {m: self.input_dims[m] for m in MODALITY_NAMES if self.input_dims[m] < 1}
+        if narrow:
+            raise ConfigError(f"input_dims widths must be positive, got {narrow}")
+        if self.input_dims["ocr_sentiment"] != self.input_dims["asr_sentiment"]:
+            raise ConfigError("input_dims ocr_sentiment and asr_sentiment widths must agree")
         if self.d < 1 or self.heads < 1:
             raise ConfigError("d and heads must be positive")
         if self.d % self.heads != 0:
@@ -102,11 +107,7 @@ class ModelConfig:
 
     @property
     def sentiment_dim(self) -> int:
-        d_ocr = self.input_dims["ocr_sentiment"]
-        d_asr = self.input_dims["asr_sentiment"]
-        if d_ocr != d_asr:
-            raise ConfigError("ocr and asr sentiment dims must agree")
-        return d_ocr
+        return self.input_dims["ocr_sentiment"]
 
     @property
     def head_in_dim(self) -> int:
@@ -156,15 +157,7 @@ class ModelConfig:
                 raise ConfigError(f"model config is missing field {name!r}")
             if not check(obj[name]):
                 raise ConfigError(f"model config field {name!r} must be {what}, got {obj[name]!r}")
-        return cls(
-            input_dims=obj["input_dims"],
-            d=obj["d"],
-            heads=obj["heads"],
-            dropout_p=obj["dropout_p"],
-            n=obj["n"],
-            class_count=obj["class_count"],
-            pairings=tuple(tuple(p) for p in obj["pairings"]),
-        )
+        return cls(**{name: obj[name] for name in checks})
 
     def digest(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -173,7 +166,7 @@ class ModelConfig:
 
 @dataclass
 class AttentionParams:
-    """One pairing's trainable tensors."""
+    """One pairing's trainable tensors, in checkpoint order."""
 
     w_q: Tensor
     b_q: Tensor
@@ -186,8 +179,6 @@ class AttentionParams:
     gamma: Tensor
     beta: Tensor
 
-    FIELDS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o", "gamma", "beta")
-
 
 @dataclass
 class FusionParams:
@@ -198,8 +189,8 @@ class FusionParams:
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         out = []
         for i, p in enumerate(self.pairings):
-            for name in AttentionParams.FIELDS:
-                out.append((f"pairings.{i}.{name}", getattr(p, name)))
+            for f in fields(p):
+                out.append((f"pairings.{i}.{f.name}", getattr(p, f.name)))
         out.append(("head.weight", self.w_head))
         out.append(("head.bias", self.b_head))
         return out
@@ -209,44 +200,46 @@ class FusionParams:
             t.zero_grad()
 
 
-def _glorot(rng: SplitMix64, fan_in: int, fan_out: int, dtype) -> np.ndarray:
-    a = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-a, a, (fan_in, fan_out), dtype=dtype)
+def _build(config: ModelConfig, make: Callable[[str, tuple[int, ...]], Tensor]) -> FusionParams:
+    """Parameters from `make(name, shape)`, called once per trainable tensor
+    in `named_tensors` order. The only place that knows their shapes."""
+    d = config.d
+    pairings = []
+    for i, (q_name, kv_name) in enumerate(config.pairings):
+        dq = config.input_dims[q_name]
+        dkv = config.input_dims[kv_name]
+        shapes = {
+            "w_q": (dq, d), "b_q": (d,),
+            "w_k": (dkv, d), "b_k": (d,),
+            "w_v": (dkv, d), "b_v": (d,),
+            "w_o": (d, d), "b_o": (d,),
+            "gamma": (d,), "beta": (d,),
+        }
+        pairings.append(
+            AttentionParams(**{f: make(f"pairings.{i}.{f}", shape) for f, shape in shapes.items()})
+        )
+    w_head = make("head.weight", (config.head_in_dim, config.class_count))
+    b_head = make("head.bias", (config.class_count,))
+    return FusionParams(pairings, w_head, b_head)
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> FusionParams:
-    """Glorot-uniform projection weights, zero biases, unit layer-norm scale.
+    """Glorot-uniform weight matrices, zero biases, unit layer-norm scale.
 
     Deterministic: the same seed reproduces every weight bit-for-bit.
     """
     rng = SplitMix64(seed).derive("init")
-    d = config.d
 
-    def param(arr: np.ndarray) -> Tensor:
+    def make(name: str, shape: tuple[int, ...]) -> Tensor:
+        if len(shape) == 2:
+            fan_in, fan_out = shape
+            a = float(np.sqrt(6.0 / (fan_in + fan_out)))
+            arr = rng.uniform(-a, a, shape, dtype=dtype)
+        else:
+            arr = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
         return Tensor(arr, requires_grad=True, dtype=dtype)
 
-    pairings = []
-    for q_name, kv_name in config.pairings:
-        dq = config.input_dims[q_name]
-        dkv = config.input_dims[kv_name]
-        pairings.append(
-            AttentionParams(
-                w_q=param(_glorot(rng, dq, d, dtype)),
-                b_q=param(np.zeros(d)),
-                w_k=param(_glorot(rng, dkv, d, dtype)),
-                b_k=param(np.zeros(d)),
-                w_v=param(_glorot(rng, dkv, d, dtype)),
-                b_v=param(np.zeros(d)),
-                w_o=param(_glorot(rng, d, d, dtype)),
-                b_o=param(np.zeros(d)),
-                gamma=param(np.ones(d)),
-                beta=param(np.zeros(d)),
-            )
-        )
-    head_in = config.head_in_dim
-    w_head = param(_glorot(rng, head_in, config.class_count, dtype))
-    b_head = param(np.zeros(config.class_count))
-    params = FusionParams(pairings, w_head, b_head)
+    params = _build(config, make)
     log.info("initialized %d trainable parameters (seed %d)", param_count(params), seed)
     return params
 
@@ -427,24 +420,7 @@ def load_checkpoint(path) -> tuple[FusionParams, ModelConfig, dict]:
             )
         return Tensor(arr, requires_grad=True)
 
-    d = config.d
-    pairings = []
-    for i, (q_name, kv_name) in enumerate(config.pairings):
-        dq = config.input_dims[q_name]
-        dkv = config.input_dims[kv_name]
-        shapes = {
-            "w_q": (dq, d), "b_q": (d,),
-            "w_k": (dkv, d), "b_k": (d,),
-            "w_v": (dkv, d), "b_v": (d,),
-            "w_o": (d, d), "b_o": (d,),
-            "gamma": (d,), "beta": (d,),
-        }
-        kwargs = {
-            f: tensor_for(f"pairings.{i}.{f}", shape) for f, shape in shapes.items()
-        }
-        pairings.append(AttentionParams(**kwargs))
-    w_head = tensor_for("head.weight", (config.head_in_dim, config.class_count))
-    b_head = tensor_for("head.bias", (config.class_count,))
+    params = _build(config, tensor_for)
     if entries:
         raise ValueError(f"checkpoint holds unexpected entries: {sorted(entries)}")
-    return FusionParams(pairings, w_head, b_head), config, header
+    return params, config, header

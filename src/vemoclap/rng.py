@@ -64,9 +64,9 @@ class SplitMix64:
     counter.
     """
 
-    def __init__(self, seed: int, _counter: int = 0):
+    def __init__(self, seed: int):
         self._seed = int(seed) & _MASK64
-        self._counter = int(_counter)
+        self._counter = 0
 
     @property
     def seed(self) -> int:

@@ -35,14 +35,15 @@ EVAL_BATCH = 32
 # chunk's m, v, g, parameter and two scratch slices, 1.5 MiB, fit in a
 # 2 MiB L2); fixed.
 ADAM_CHUNK = 65_536
+# Adam's moment decay rates and denominator epsilon: the usual defaults, fixed.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-5
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps_adam: float = 1e-8
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
@@ -104,7 +105,8 @@ def adam_step(
     """One bias-corrected Adam update, in place.
 
     m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps),
+    with (b1, b2) = ADAM_BETAS and eps = ADAM_EPS.
 
     Runs over ADAM_CHUNK-element chunks of each flattened tensor with
     `out=` into two scratch buffers, so a chunk's passes stay in cache and
@@ -112,7 +114,7 @@ def adam_step(
     operations in the same order as the formula above, so the result is
     the same to the bit.
     """
-    b1, b2 = config.betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     corr1 = 1.0 - b1**t
@@ -132,7 +134,7 @@ def adam_step(
         buf1, buf2 = scratch[dtype]
         b1_, one_b1, b2_, one_b2, c1, c2, eps, lr = (
             dtype.type(c)
-            for c in (b1, 1.0 - b1, b2, 1.0 - b2, corr1, corr2, config.eps_adam, config.lr)
+            for c in (b1, 1.0 - b1, b2, 1.0 - b2, corr1, corr2, ADAM_EPS, config.lr)
         )
         p_flat = np.reshape(tensor.data, -1, copy=False)
         m_flat = np.reshape(state.m[name], -1, copy=False)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -113,6 +114,19 @@ def test_config_rejects_sentiment_as_key_value():
             heads=2,
             pairings=(("clip", "ocr_sentiment"), ("beats", "clip"), ("expression", "clip")),
         )
+
+
+@pytest.mark.parametrize(
+    "widths, match",
+    [
+        ({"ocr_sentiment": 8, "asr_sentiment": 6}, "must agree"),
+        ({"expression": -1}, "positive"),
+        ({"clip": 0}, "positive"),
+    ],
+)
+def test_config_rejects_bad_widths(widths, match):
+    with pytest.raises(ConfigError, match=match):
+        ModelConfig(input_dims={**tiny_dims(), **widths}, d=8, heads=2)
 
 
 def test_init_is_deterministic_and_gamma_ones():
@@ -521,6 +535,28 @@ def test_checkpoint_same_params_same_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# sha256 of init_params + save_checkpoint at fixed seeds: pins the
+# parameters' draw order, names and shapes.
+@pytest.mark.parametrize(
+    "pairings, seed, digest",
+    [
+        (DEFAULT_PAIRINGS, 7, "b8089b7115d16c6aa3c7643afd274c79f4e8d28ca9714d69052361a5bee9ba63"),
+        (
+            (("clip", "expression"), ("beats", "beats"), ("expression", "beats")),
+            11,
+            "3c751ad19ee25b7d5860bf5b5ee231550981ff344af9cb6f07d09bee3e552727",
+        ),
+    ],
+    ids=["default", "custom"],
+)
+def test_init_checkpoint_bytes_are_pinned(tmp_path, pairings, seed, digest):
+    dims = {"clip": 5, "beats": 4, "expression": 3, "ocr_sentiment": 2, "asr_sentiment": 2}
+    config = ModelConfig(input_dims=dims, d=8, heads=2, n=4, pairings=pairings)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(config, seed=seed), config, seed=seed, stats_digest="x")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_checkpoint_missing_parameter_detected(tmp_path):
     from vemoclap.container import read_blocks, write_blocks
 
@@ -548,6 +584,9 @@ def test_checkpoint_missing_parameter_detected(tmp_path):
         ("input_dims", {"clip": "8"}),
         ("pairings", [["clip"]]),
         ("pairings", [["clip", 3]]),
+        ("input_dims", {**tiny_dims(), "ocr_sentiment": 3}),
+        ("input_dims", {**tiny_dims(), "beats": -2}),
+        ("input_dims", {**tiny_dims(), "expression": 0}),
     ],
 )
 def test_checkpoint_header_field_missing_or_mistyped_is_a_value_error(tmp_path, field, value):

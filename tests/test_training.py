@@ -139,7 +139,7 @@ def test_adam_three_step_trajectory_matches_reference():
     theta = Tensor(np.array([1.0, -2.0], dtype=np.float64), requires_grad=True)
     params = OneTensorParams(theta)
     state = AdamState.for_params(params)
-    config = TrainConfig(lr=lr, betas=(b1, b2), eps_adam=eps)
+    config = TrainConfig(lr=lr)
 
     # Hand-rolled reference on plain Python floats.
     ref = [1.0, -2.0]
@@ -182,7 +182,7 @@ def test_chunked_adam_matches_plain_reference_bit_for_bit():
     ]
     params = TwoTensorParams(*(Tensor(start[name], requires_grad=True) for name in shapes))
     state = AdamState.for_params(params)
-    config = TrainConfig(lr=lr, betas=(b1, b2), eps_adam=eps)
+    config = TrainConfig(lr=lr)
 
     # Plain whole-array Adam in float32, one numpy expression per line.
     f32 = np.float32
