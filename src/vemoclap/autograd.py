@@ -38,21 +38,39 @@ elements (reshape, concat, concat_cols, stack_rows, slice_cols,
 transpose, take_per_row) skip the check: their inputs passed it, so
 their outputs are finite too.
 
-A Graph and its tensors belong to one thread for the duration of a
-forward/backward pass; independent graphs may run on separate threads.
+Threads
+-------
+The active graph is per thread. :func:`branches` runs independent
+sub-computations of a TRAINING graph concurrently, each recorded on its
+own child graph: the first on the calling thread, the others on a pool
+of min(CPUs available to the process - 1, branches - 1) worker threads,
+made on first use (with one CPU, every branch runs on the calling
+thread). :meth:`Graph.backward` walks its own tape and, on reaching a
+`branches` call, walks the branch tapes concurrently in the same way.
+Each branch writes ``.grad`` only on the tensors its own tape produced;
+the gradients it leaves for tensors from outside the branch (the leaves)
+are summed and handed over on the calling thread, so no two threads
+write one ``.grad``. Branches do not nest. Apart from that, a Graph and
+its tensors belong to one thread for the duration of a forward/backward
+pass; independent graphs may run on separate threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
@@ -133,6 +151,14 @@ class _TapeEntry:
     vjp: Callable[[np.ndarray], tuple[Optional[np.ndarray], ...]]
 
 
+@dataclass
+class _BranchEntry:
+    """Tape entry for one `branches` call: each branch's graph and output."""
+
+    graphs: tuple["Graph", ...]
+    outs: tuple[Tensor, ...]
+
+
 _ACTIVE = threading.local()
 
 
@@ -149,8 +175,9 @@ class Graph:
 
     def __init__(self, mode: Mode = Mode.TRAINING):
         self.mode = mode
-        self._tape: list[_TapeEntry] = []
+        self._tape: list = []  # _TapeEntry and _BranchEntry, in execution order
         self._outer: Optional[Graph] = None
+        self._is_branch = False
 
     def __enter__(self) -> "Graph":
         self._outer = active_graph()
@@ -162,16 +189,21 @@ class Graph:
         self._outer = None
 
     def __len__(self) -> int:
-        return len(self._tape)
+        """Recorded ops, counting those on branch tapes."""
+        return sum(
+            sum(map(len, e.graphs)) if isinstance(e, _BranchEntry) else 1 for e in self._tape
+        )
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad on every requires_grad tensor reachable from loss.
 
-        Walks the tape in exact reverse execution order. Repeated calls
-        accumulate into existing gradients. Gradient arrays become .grad
-        without a copy (see "Gradient ownership" in the module docstring):
-        a copy is made only when the same array object would otherwise be
-        the .grad of two tensors, as when `add` hands `g` to both operands.
+        Walks the tape in exact reverse execution order, and the tapes of a
+        `branches` call concurrently where that call stands on the tape.
+        Repeated calls accumulate into existing gradients. Gradient arrays
+        become .grad without a copy (see "Gradient ownership" in the module
+        docstring): a copy is made only when the same array object would
+        otherwise be the .grad of two tensors, as when `add` hands `g` to
+        both operands.
         """
         if self.mode is not Mode.TRAINING:
             raise GraphUsageError("backward requires a TRAINING-mode graph")
@@ -181,36 +213,81 @@ class Graph:
             raise GraphUsageError("loss does not depend on any requires_grad tensor recorded here")
 
         owned: set[int] = set()  # ids of the arrays handed out as .grad so far
-
-        def hand_over(t: Tensor, g: np.ndarray) -> None:
-            if t.grad is not None:
-                t.grad = t.grad + g
-                return
-            if id(g) in owned:
-                g = g.copy()
-            owned.add(id(g))
-            t.grad = g
-
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
         holders: dict[int, Tensor] = {id(loss): loss}
-        for entry in reversed(self._tape):
-            g_out = flowing.pop(id(entry.out), None)
-            if g_out is None:
-                continue
-            if entry.out.requires_grad:
-                hand_over(entry.out, g_out)
-            for t, g_in in zip(entry.inputs, entry.vjp(g_out)):
-                if g_in is None:
-                    continue
-                key = id(t)
-                holders[key] = t
-                seen = flowing.get(key)
-                flowing[key] = g_in if seen is None else seen + g_in
+        _walk(self._tape, flowing, holders, owned)
         # Whatever remains was never produced by a tape entry: the leaves.
         for key, g in flowing.items():
             t = holders[key]
             if t.requires_grad:
-                hand_over(t, g)
+                _hand_over(t, g, owned)
+
+
+def _hand_over(t: Tensor, g: np.ndarray, owned: set[int]) -> None:
+    if t.grad is not None:
+        t.grad = t.grad + g
+        return
+    if id(g) in owned:
+        g = g.copy()
+    owned.add(id(g))
+    t.grad = g
+
+
+def _accumulate(flowing: dict, holders: dict, t: Tensor, g: np.ndarray) -> None:
+    key = id(t)
+    holders[key] = t
+    seen = flowing.get(key)
+    flowing[key] = g if seen is None else seen + g
+
+
+def _walk(tape: list, flowing: dict, holders: dict, owned: set[int]) -> None:
+    """Reverse-mode pass over `tape`, starting from the gradients in
+    `flowing` (keyed by tensor id, tensors in `holders`). Hands each entry's
+    output its gradient and leaves in `flowing` the gradients of tensors no
+    entry of `tape` produced."""
+    for entry in reversed(tape):
+        if isinstance(entry, _BranchEntry):
+            _walk_branches(entry, flowing, holders, owned)
+            continue
+        g_out = flowing.pop(id(entry.out), None)
+        if g_out is None:
+            continue
+        if entry.out.requires_grad:
+            _hand_over(entry.out, g_out, owned)
+        for t, g_in in zip(entry.inputs, entry.vjp(g_out)):
+            if g_in is not None:
+                _accumulate(flowing, holders, t, g_in)
+
+
+def _walk_branches(entry: _BranchEntry, flowing: dict, holders: dict, owned: set[int]) -> None:
+    """Backward through one `branches` call: each branch's tape is walked
+    concurrently from its output's gradient, on its own bookkeeping, then
+    what each leaves behind joins `flowing` on this thread, last branch
+    first. A tensor that each branch reaches once therefore gets its
+    gradient summed in the order one tape holding every branch's entries
+    would have used; one a branch reaches twice gets that branch's two
+    parts summed first."""
+    starts: list[Optional[np.ndarray]] = []
+    for out in entry.outs:
+        g = flowing.pop(id(out), None)
+        # A branch hands its start array out as .grad without knowing
+        # about the others or this walk, so it gets one nobody else owns.
+        if g is not None and (id(g) in owned or any(g is s for s in starts)):
+            g = g.copy()
+        starts.append(g)
+
+    def walk(graph: Graph, out: Tensor, g: Optional[np.ndarray]):
+        sub_flowing, sub_holders, sub_owned = {}, {}, set()
+        if g is not None:
+            sub_flowing[id(out)], sub_holders[id(out)] = g, out
+            _walk(graph._tape, sub_flowing, sub_holders, sub_owned)
+        return sub_flowing, sub_holders, sub_owned
+
+    walks = [functools.partial(walk, *args) for args in zip(entry.graphs, entry.outs, starts)]
+    for sub_flowing, sub_holders, sub_owned in reversed(_run_all(walks)):
+        owned |= sub_owned
+        for key, g in sub_flowing.items():
+            _accumulate(flowing, holders, sub_holders[key], g)
 
 
 def _recording() -> Optional[Graph]:
@@ -246,6 +323,100 @@ def _same_dtype(*tensors: Tensor):
         if t.dtype != dt:
             raise TypeError(f"mixed dtypes in op: {[str(x.dtype) for x in tensors]}")
     return dt
+
+
+# ---------------------------------------------------------------------------
+# Branches
+
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """After fork: the child has none of the parent's worker threads."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _branch_pool() -> Optional[ThreadPoolExecutor]:
+    """The shared worker pool, or None when the process may use one CPU.
+
+    It has CPUs - 1 workers at most, and starts a thread only when a task
+    finds none idle, so a call that hands out b - 1 tasks at a time never
+    runs more than b - 1 of them.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            if (cpus or 1) < 2:
+                return None
+            # Imported here: a process that never trains, such as a
+            # predict server, does not pay the import's 0.5 MB.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(cpus - 1, thread_name_prefix="vemoclap-branch")
+        return _POOL
+
+
+def _settle(task: Callable):
+    try:
+        return task(), None
+    except BaseException as exc:  # raised again once every task has finished
+        return None, exc
+
+
+def _run_all(tasks: Sequence[Callable]) -> list:
+    """Results of `tasks` in order: the first runs on this thread, the
+    others on the pool (or here too, one after another, without one). If any
+    raised, the first such exception in task order is raised again after
+    every task has finished."""
+    pool = _branch_pool() if len(tasks) > 1 else None
+    if pool is None:
+        outcomes = [_settle(task) for task in tasks]
+    else:
+        futures = [pool.submit(_settle, task) for task in tasks[1:]]
+        outcomes = [_settle(tasks[0])] + [f.result() for f in futures]
+    for _, exc in outcomes:
+        if exc is not None:
+            raise exc
+    return [result for result, _ in outcomes]
+
+
+def _run_in(graph: Graph, fn: Callable[[], Tensor]) -> Tensor:
+    with graph:
+        return fn()
+
+
+def branches(fns: Sequence[Callable[[], Tensor]]) -> list[Tensor]:
+    """[fn() for fn in fns] for independent sub-computations, run
+    concurrently inside a TRAINING graph.
+
+    Each fn runs in its own child TRAINING graph: the first on the calling
+    thread, the others on the worker pool (see "Threads" in the module
+    docstring). The branches must not write any tensor another branch
+    reads, and each fn must draw its randomness from its own stream (see
+    `SplitMix64.split`). The active graph records the call as one entry;
+    `len` and `backward` see through it to the branch tapes. An exception
+    raised in a branch reaches the caller once every branch has finished.
+    With no TRAINING graph active, the fns run one after another on the
+    calling thread.
+    """
+    parent = _recording()
+    if parent is None:
+        return [fn() for fn in fns]
+    if parent._is_branch:
+        raise GraphUsageError("branches do not nest")
+    graphs = [Graph(Mode.TRAINING) for _ in fns]
+    for graph in graphs:
+        graph._is_branch = True
+    outs = _run_all([functools.partial(_run_in, g, fn) for g, fn in zip(graphs, fns)])
+    parent._tape.append(_BranchEntry(tuple(graphs), tuple(outs)))
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,20 @@ No positional encoding anywhere: temporal pooling discards order, which
 makes key/value-row permutation invariance an exact property of the
 architecture.
 
+The pairings meet only at the concatenation, so a training forward
+whose largest pairing output reaches BRANCH_MIN_ELEMENTS runs them
+concurrently through `autograd.branches`, and backward walks them
+concurrently too. Each pairing draws its dropout mask from its own
+`SplitMix64.split` stream: the draws a serial run would make, so the
+result is bit-identical either way.
+
 Parameters are immutable during inference, so any number of threads may
 share them; training owns them exclusively.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -52,6 +60,13 @@ from .rng import SplitMix64
 log = logging.getLogger(__name__)
 
 DEFAULT_PAIRINGS = (("clip", "beats"), ("beats", "clip"), ("expression", "clip"))
+
+# A forward runs its pairings through `autograd.branches`, concurrently in
+# a TRAINING graph, once the largest pairing output, query rows x d, has
+# this many elements;
+# below that the hand-offs between threads cost more than the overlap
+# saves. Fixed, not a setting.
+BRANCH_MIN_ELEMENTS = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -347,20 +362,26 @@ def forward(
     dtype = params.w_head.data.dtype
     arrays, lengths = _batch_arrays(videos, config)
     seqs = {name: Tensor(arrays[name], dtype=dtype) for name in SEQUENTIAL_MODALITIES}
+    # A pairing's output, and its dropout draws, are query rows x d.
+    sizes = [int(lengths[q_name].sum()) * config.d for q_name, _ in config.pairings]
+    streams = rng.split(sizes) if rng is not None else [None] * len(sizes)
 
-    columns = []
-    for pair_idx, (q_name, kv_name) in enumerate(config.pairings):
+    def pairing(i: int, stream: Optional[SplitMix64]) -> Tensor:
+        q_name, kv_name = config.pairings[i]
         attn = cross_attention(
             seqs[q_name],
             seqs[kv_name],
-            params.pairings[pair_idx],
+            params.pairings[i],
             heads=config.heads,
             dropout_p=config.dropout_p,
-            rng=rng,
+            rng=stream,
             q_lengths=lengths[q_name],
             kv_lengths=lengths[kv_name],
         )
-        columns.append(ag.mean_pool(attn, lengths=lengths[q_name]))
+        return ag.mean_pool(attn, lengths=lengths[q_name])
+
+    runs = [functools.partial(pairing, i, stream) for i, stream in enumerate(streams)]
+    columns = ag.branches(runs) if max(sizes) >= BRANCH_MIN_ELEMENTS else [run() for run in runs]
     for name in ("ocr_sentiment", "asr_sentiment"):
         columns.append(Tensor(arrays[name], dtype=dtype))
 

@@ -20,6 +20,8 @@ independent of how much randomness earlier code consumed.
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -67,6 +69,7 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._seed = int(seed) & _MASK64
         self._counter = 0
+        self._end: Optional[int] = None  # counter limit of a `split` stream
 
     @property
     def seed(self) -> int:
@@ -86,6 +89,27 @@ class SplitMix64:
                 s = _mix64(s ^ folded)
         return SplitMix64(int(s))
 
+    def split(self, counts: Sequence[int]) -> list["SplitMix64"]:
+        """Streams that yield, in turn, the next counts[i] outputs of this one.
+
+        Stream i gives exactly the outputs that this stream would give
+        after the first sum(counts[:i]) of those it has still to give, and
+        this stream moves past all sum(counts) of them. So the streams can
+        be drawn from in any order, or on separate threads, with the same
+        results as drawing them one after another from this stream. Drawing
+        past counts[i] from stream i is a ValueError.
+        """
+        streams = []
+        for count in counts:
+            if count < 0:
+                raise ValueError("counts must be nonnegative")
+            stream = SplitMix64(self._seed)
+            stream._counter = self._counter
+            self._counter += int(count)
+            stream._end = self._counter
+            streams.append(stream)
+        return streams
+
     def next_raw(self, count: int) -> np.ndarray:
         """Next `count` raw 64-bit outputs as a uint64 array.
 
@@ -94,6 +118,8 @@ class SplitMix64:
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
+        if self._end is not None and self._counter + count > self._end:
+            raise ValueError(f"split stream has {self._end - self._counter} outputs left, {count} asked")
         out = np.empty(count, dtype=np.uint64)
         tmp = np.empty(min(count, RAW_CHUNK), dtype=np.uint64)
         first = self._counter + 1

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import vemoclap.autograd as ag
+import vemoclap.model as model
 from vemoclap.container import MODALITY_NAMES, EmotionLabel, VideoFeatures
 from vemoclap.model import ModelConfig, init_params
 
@@ -72,3 +74,20 @@ def rng():
 def tiny_params():
     config = tiny_config()
     return config, init_params(config, seed=11, dtype=np.float64)
+
+
+@pytest.fixture
+def fanned_out(monkeypatch):
+    """Training forwards run their pairings through `autograd.branches`
+    whatever their size (the size floor is 0). The value lists the branch
+    count of every `branches` call made while the fixture is active."""
+    calls = []
+    real = ag.branches
+
+    def counted(fns):
+        calls.append(len(fns))
+        return real(fns)
+
+    monkeypatch.setattr(model, "BRANCH_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(ag, "branches", counted)
+    return calls

@@ -1,4 +1,8 @@
+import functools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -660,6 +664,127 @@ def test_duplicate_input_accumulates_both_paths():
         loss = ag.sum_all(ag.matmul(x, x))  # d/dx (x*x) = 2x
     g.backward(loss)
     assert np.allclose(x.grad, [[4.0]])
+
+
+# ---------------------------------------------------------------------------
+# branches
+
+
+def _branch_net(rng, split: bool):
+    """Scalar loss over ops before, inside and after a three-way split, and
+    the tensors to compare. `pre` feeds every branch, the leaf `shared` is
+    read once by each branch and once more after them, and each branch
+    has its own weight. `split` runs the branches through `ag.branches`;
+    otherwise they run one after another on the one tape."""
+    x = t64(rng.standard_normal((4, 3)))
+    w_in = t64(rng.standard_normal((3, 3)), requires_grad=True)
+    shared = t64(rng.standard_normal((4, 3)), requires_grad=True)
+    ws = [t64(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(3)]
+    w_out = t64(rng.standard_normal((9, 1)))
+
+    def branch(pre, w):
+        return ag.layer_norm(
+            ag.matmul(ag.add(pre, shared), w), t64(np.ones(2)), t64(np.zeros(2))
+        )
+
+    with Graph(Mode.TRAINING) as g:
+        pre = ag.matmul(x, w_in)
+        fns = [functools.partial(branch, pre, w) for w in ws]
+        outs = ag.branches(fns) if split else [fn() for fn in fns]
+        columns = outs + [shared]
+        outs.append(shared)  # as forward appends its sentiment columns
+        loss = ag.sum_all(ag.matmul(ag.concat_cols(outs), w_out))
+    g.backward(loss)
+    return g, loss, [pre, w_in, *columns, *ws]
+
+
+def test_branches_give_the_one_tape_gradients_bit_for_bit():
+    g_one, loss_one, one = _branch_net(np.random.default_rng(7), split=False)
+    g_split, loss_split, split = _branch_net(np.random.default_rng(7), split=True)
+    assert len(g_split) == len(g_one) == 1 + 3 * 3 + 3
+    assert len(g_split._tape) == 5  # the branches call is one entry of the outer tape
+    assert len(g_split._tape[1].outs) == 3  # the append to the returned list did not reach it
+    assert loss_split.data.tobytes() == loss_one.data.tobytes()
+    for a, b in zip(one, split):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def _branch_net_bytes(seed: int, split: bool) -> list[bytes]:
+    _, loss, tensors = _branch_net(np.random.default_rng(seed), split)
+    return [loss.data.tobytes()] + [b for t in tensors for b in (t.data.tobytes(), t.grad.tobytes())]
+
+
+def test_concurrent_callers_of_branches_each_get_their_one_tape_gradients():
+    callers, rounds = 6, 20  # more calling threads than cores, all sharing the pool
+    expected = [_branch_net_bytes(seed, split=False) for seed in range(callers)]
+    results = [[] for _ in range(callers)]
+
+    def work(seed):
+        for _ in range(rounds):
+            results[seed].append(_branch_net_bytes(seed, split=True))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[want] * rounds for want in expected]
+
+
+def test_branch_outputs_get_their_own_gradient_arrays():
+    a = t64(np.ones((2, 3)), requires_grad=True)
+    b = t64(np.ones((2, 3)), requires_grad=True)
+    with Graph(Mode.TRAINING) as g:
+        outs = ag.branches([lambda: ag.scale(a, 2.0), lambda: ag.scale(b, 3.0)])
+        total = ag.add(*outs)  # its vjp hands one array to both branch outputs
+        loss = ag.sum_all(total)
+    g.backward(loss)
+    grads = [total.grad, outs[0].grad, outs[1].grad, a.grad, b.grad]
+    assert len({id(x) for x in grads}) == len(grads)
+    assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+    assert np.array_equal(b.grad, np.full((2, 3), 3.0))
+
+
+def test_branch_error_reaches_the_caller_after_every_branch_finished():
+    x = t64(np.ones(3), requires_grad=True)
+    finished = []
+
+    def slow(i, then=None):
+        def run():
+            time.sleep(0.2)
+            finished.append(i)
+            if then is not None:
+                raise then
+            return ag.scale(x, 2.0)
+
+        return run
+
+    def non_finite():
+        return ag.log(ag.scale(x, 0.0))  # log(0) = -inf
+
+    with Graph(Mode.TRAINING) as g:
+        with pytest.raises(NonFiniteError):
+            ag.branches([slow(0), non_finite, slow(2, then=ShapeError("later branch"))])
+        assert sorted(finished) == [0, 2]
+    assert len(g) == 0
+
+
+def test_branches_run_inline_outside_training_and_do_not_nest():
+    x = t64(np.ones(2), requires_grad=True)
+    outs = ag.branches([lambda: ag.scale(x, 2.0), lambda: ag.scale(x, 3.0)])
+    assert [o.data.tolist() for o in outs] == [[2.0, 2.0], [3.0, 3.0]]
+    with Graph(Mode.INFERENCE) as g:
+        outs = ag.branches([lambda: ag.scale(x, 2.0), lambda: ag.scale(x, 3.0)])
+    assert len(g) == 0 and not any(o.requires_grad for o in outs)
+    with Graph(Mode.TRAINING), pytest.raises(GraphUsageError, match="nest"):
+        ag.branches([lambda: ag.scale(x, 1.0), lambda: ag.branches([lambda: x])[0]])
 
 
 # ---------------------------------------------------------------------------

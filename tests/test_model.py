@@ -425,6 +425,21 @@ def test_tape_size_does_not_grow_with_batch(rng):
     assert sizes == [35, 35], sizes
 
 
+def test_tape_size_does_not_grow_with_batch_in_branches(rng, fanned_out):
+    test_tape_size_does_not_grow_with_batch(rng)
+    assert fanned_out == [3, 3]
+
+
+def tape_entries(graph):
+    """Every op entry of a graph's tape, those of its `branches` calls included."""
+    for entry in graph._tape:
+        if isinstance(entry, ag._BranchEntry):
+            for branch in entry.graphs:
+                yield from tape_entries(branch)
+        else:
+            yield entry
+
+
 def test_expression_projections_see_only_real_rows(rng):
     config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
@@ -433,12 +448,17 @@ def test_expression_projections_see_only_real_rows(rng):
     assert real_rows < len(videos) * max(vf.k for vf in videos)  # the batch has padding
     with Graph(Mode.TRAINING) as g:
         forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
-    rows_into = {id(e.inputs[1]): e.inputs[0].shape[0] for e in g._tape if e.inputs[1:2]}
+    rows_into = {id(e.inputs[1]): e.inputs[0].shape[0] for e in tape_entries(g) if e.inputs[1:2]}
     for (q_name, _), p in zip(config.pairings, params.pairings):
         expect = real_rows if q_name == "expression" else len(videos) * config.n
         assert rows_into[id(p.w_q)] == expect, q_name
         assert rows_into[id(p.w_o)] == expect, q_name
         assert rows_into[id(p.gamma)] == expect, q_name  # layer norm's input
+
+
+def test_expression_projections_see_only_real_rows_in_branches(rng, fanned_out):
+    test_expression_projections_see_only_real_rows(rng)
+    assert fanned_out == [3]
 
 
 def test_forward_gradients_through_padding_match_finite_differences(rng):
@@ -459,6 +479,11 @@ def test_forward_gradients_through_padding_match_finite_differences(rng):
     for name, tensor in params.named_tensors():
         report = ag.grad_check(loss_fn, tensor, eps=1e-4, tol=1e-4)
         assert report.passed, (name, str(report))
+
+
+def test_forward_gradients_through_padding_match_finite_differences_in_branches(rng, fanned_out):
+    test_forward_gradients_through_padding_match_finite_differences(rng)
+    assert fanned_out and set(fanned_out) == {3}
 
 
 def test_default_pairing_gradients_through_padded_queries_match_finite_differences(rng):

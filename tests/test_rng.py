@@ -62,6 +62,33 @@ def test_counter_continuation_matches_one_shot():
     assert np.array_equal(np.concatenate([first, second]), combined)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [[0], [1], [RAW_CHUNK - 1], [RAW_CHUNK + 1], [3, 0, RAW_CHUNK - 1, 1, RAW_CHUNK + 1]],
+)
+def test_split_streams_give_the_parents_next_draws_bit_for_bit(counts):
+    rng, reference = SplitMix64(77), SplitMix64(77)
+    rng.next_raw(5)
+    reference.next_raw(5)
+    streams = rng.split(counts)
+    # Drawn last stream first: each stream's draws do not depend on the order.
+    drawn = [s.next_raw(c) for s, c in reversed(list(zip(streams, counts)))][::-1]
+    assert np.array_equal(np.concatenate(drawn), reference.next_raw(sum(counts)))
+    # The parent has moved past every split draw.
+    assert np.array_equal(rng.next_raw(4), reference.next_raw(4))
+
+
+def test_split_stream_cannot_draw_past_its_share():
+    first, second = SplitMix64(3).split([4, 2])
+    first.next_raw(3)
+    with pytest.raises(ValueError):
+        first.next_raw(2)
+    first.next_raw(1)
+    assert np.array_equal(second.next_raw(2), SplitMix64(3).next_raw(6)[4:])
+    with pytest.raises(ValueError):
+        SplitMix64(3).split([1, -1])
+
+
 def test_derive_is_stable_and_tag_sensitive():
     base = SplitMix64(42)
     assert base.derive("dropout", 3).seed == base.derive("dropout", 3).seed

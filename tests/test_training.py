@@ -1,8 +1,12 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+import vemoclap.autograd as ag
+import vemoclap.model as model
 from vemoclap.autograd import Graph, Mode, Tensor
 from vemoclap.dataset import compute_stats, normalize_features
 from vemoclap.model import forward, init_params
@@ -274,6 +278,63 @@ def test_training_is_bitwise_deterministic(tmp_path):
         checkpoints.append(path.read_bytes())
     assert histories[0] == histories[1]
     assert checkpoints[0] == checkpoints[1]
+
+
+def dropout_training_bytes(path) -> tuple[str, bytes]:
+    """History CSV and checkpoint bytes of a short run with dropout on."""
+    config = tiny_config(n=4, dropout=0.5)
+    train_videos = make_separable_videos(seed=10, per_class=2, prefix="tr")
+    val_videos = make_separable_videos(seed=11, per_class=1, prefix="va")
+    stats = compute_stats(None, videos=train_videos)
+    params = init_params(config, seed=6)
+    tconf = TrainConfig(lr=1e-3, patience=3, max_epochs=2, batch_size=5, seed=21)
+    result = train(train_videos, val_videos, params, config, tconf, stats)
+    model.save_checkpoint(path, result.params, config, seed=21, stats_digest=stats.digest())
+    with open(path, "rb") as fh:
+        return history_csv(result.history), fh.read()
+
+
+@pytest.mark.parametrize("fanned_first", [False, True], ids=["inline_first", "fanned_first"])
+def test_training_in_branches_is_bit_identical_to_inline(tmp_path, fanned_out, monkeypatch, fanned_first):
+    runs = {}
+    for fanned in (fanned_first, not fanned_first):
+        monkeypatch.setattr(model, "BRANCH_MIN_ELEMENTS", 0 if fanned else 2**62)
+        calls_before = len(fanned_out)
+        runs[fanned] = dropout_training_bytes(tmp_path / f"fanned{fanned}.ckpt")
+        assert (len(fanned_out) > calls_before) == fanned
+    assert runs[True] == runs[False]
+
+
+def _train_and_send(path, conn) -> None:
+    conn.send(dropout_training_bytes(path))
+    conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_training_in_a_forked_child_after_the_pool_ran(tmp_path, fanned_out):
+    expected = dropout_training_bytes(tmp_path / "parent.ckpt")
+    assert fanned_out
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert (ag._POOL is not None) == (cpus > 1)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_train_and_send, args=(tmp_path / "child.ckpt", send))
+    child.start()
+    send.close()
+    try:
+        # A child that kept the parent's pool would wait forever on a
+        # worker thread that does not exist in it.
+        assert receive.poll(60), "the forked child did not finish training"
+        assert receive.recv() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 def test_best_checkpoint_dominates_later_epochs():
