@@ -105,12 +105,29 @@ def _ensure_finite(arr: np.ndarray, where: str) -> None:
         raise NonFiniteError(f"non-finite value in {where}")
 
 
+def memory_order(arr: np.ndarray) -> str:
+    """"F" for a Fortran-ordered array that is not also C-contiguous, else
+    "C": the order in which `np.reshape(arr, -1, order=...)` walks arr's
+    memory, and so can view it without copying when arr is contiguous."""
+    return "F" if arr.flags.f_contiguous and not arr.flags.c_contiguous else "C"
+
+
 class Tensor:
-    """Dense row-major float array, optionally carrying a gradient buffer."""
+    """Dense float array, optionally carrying a gradient buffer.
+
+    Activations are row-major (C order). The model's weight matrices are
+    output-major: Fortran order, so a logical [in, out] matrix holds each
+    output column's weights together, as PyTorch's [out, in] nn.Linear
+    weight does. Shape and indexing do not depend on the layout, and the
+    constructor keeps the layout of the array it copies.
+
+    `copy=False` adopts `data` as is when it already is an ndarray of the
+    dtype; the caller hands that array over and keeps no other use of it.
+    """
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None, *, copy: bool = True):
         if dtype is None:
             if isinstance(data, np.ndarray) and data.dtype in _SUPPORTED_DTYPES:
                 dtype = data.dtype
@@ -118,7 +135,7 @@ class Tensor:
                 dtype = np.float32
         elif np.dtype(dtype).type not in _SUPPORTED_DTYPES:
             raise TypeError(f"unsupported dtype {dtype}; use float32 or float64")
-        arr = np.array(data, dtype=dtype, copy=True)
+        arr = np.array(data, dtype=dtype, copy=True if copy else None)
         _ensure_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -423,14 +440,28 @@ def branches(fns: Sequence[Callable[[], Tensor]]) -> list[Tensor]:
 # Ops
 
 
+# Products with fewer rows than this run as (b.T @ a.T).T. A batch-1
+# request's projections have at most n = 16 rows; there BLAS streams an
+# output-major weight about twice as fast this way round (0.19-0.40 ms
+# against 0.46-0.77 ms per [16, 512|768] @ [512|768, 512] product with
+# 12 weights taking turns in cache), with the same bits from 4 rows up.
+# From about 192 rows on, a @ b is as fast or faster. Fixed, not a setting.
+SMALL_PRODUCT_ROWS = 128
+
+
 def matmul(
     a: Tensor, b: Tensor, bias: Optional[Tensor] = None, *, row_independent: bool = False
 ) -> Tensor:
     """2-D matrix product plus an optional bias row: a @ b + bias.
 
-    da = g @ b.T, db = a.T @ g and dbias = g.sum(axis=0). The [n] bias is
-    added in place into the fresh product, the same rounding as a
-    separate `add` but with one pass and one tape entry fewer.
+    da = g @ b.T, db = (g.T @ a).T and dbias = g.sum(axis=0); db holds the
+    values of a.T @ g, laid out output-major like the model's weights.
+    The [n] bias is added in place into the fresh product, the same
+    rounding as a separate `add` but with one pass and one tape entry
+    fewer. With fewer than SMALL_PRODUCT_ROWS rows in a, the product is
+    computed as (b.T @ a.T).T, which reads an output-major b faster. With
+    OpenBLAS at the model's widths, db has the bits of a.T @ g, and the
+    swapped product, from 4 rows up, the bits of a @ b.
 
     BLAS picks its kernel by operand shape, so a row of a @ b can round
     differently when a has 1 row than when it has 32. `row_independent`
@@ -451,6 +482,8 @@ def matmul(
         # b's columns made contiguous, so the k axis of the temporary is
         # contiguous too and numpy sums it pairwise, not one by one.
         out = (ad[:, None, :] * np.ascontiguousarray(bd.T)[None, :, :]).sum(axis=-1)
+    elif ad.shape[0] < SMALL_PRODUCT_ROWS:
+        out = np.ascontiguousarray((bd.T @ ad.T).T)
     else:
         out = ad @ bd
     inputs: tuple[Tensor, ...] = (a, b)
@@ -465,7 +498,7 @@ def matmul(
     def vjp(g):
         return (
             g @ bd.T if na else None,
-            ad.T @ g if nb else None,
+            (g.T @ ad).T if nb else None,
             g.sum(axis=0) if nbias else None,
         )
 
@@ -868,7 +901,7 @@ class GradCheckReport:
     tol: float
     passed: bool
     checked: int
-    worst_index: int
+    worst_index: int  # flat position in the checked tensor's memory order
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -916,6 +949,7 @@ def grad_check(
             "disable training-mode dropout or fix the rng stream"
         )
 
+    order = memory_order(x.data)
     prev_requires, prev_grad = x.requires_grad, x.grad
     x.requires_grad = True
     x.grad = None
@@ -925,12 +959,15 @@ def grad_check(
         g.backward(y)
         if x.grad is None:
             raise GraphUsageError("f does not depend on x; nothing to check")
-        g_ad = x.grad.astype(np.float64).ravel()
+        # Element i of g_ad belongs to element i of `flat` below.
+        g_ad = np.reshape(x.grad.astype(np.float64), -1, order=order)
     finally:
         x.requires_grad = prev_requires
         x.grad = prev_grad
 
-    flat = x.data.ravel()
+    # A view in the data's own memory order, so each perturbation reaches
+    # x itself (a copy would leave f's input unchanged).
+    flat = np.reshape(x.data, -1, order=order, copy=False)
     g_fd = np.empty(flat.size, dtype=np.float64)
     noise = np.empty(flat.size, dtype=np.float64)
     for i in range(flat.size):

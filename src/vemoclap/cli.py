@@ -29,7 +29,14 @@ from .dataset import (
     save_stats,
     write_manifest,
 )
-from .metrics import RunReport, confusion, format_report_table, write_confusion_csv, write_report_json
+from .metrics import (
+    RunReport,
+    confusion,
+    format_report_table,
+    write_confusion_csv,
+    write_predictions_csv,
+    write_report_json,
+)
 from .model import (
     DEFAULT_PAIRINGS,
     ModelConfig,
@@ -134,6 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", required=True, help="report base path; writes <out>.json and <out>.confusion.csv")
+    p.add_argument(
+        "--predictions",
+        help="also write one CSV row per video: id, true and predicted label, class probabilities",
+    )
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="classify one feature container")
@@ -266,8 +277,18 @@ def cmd_eval(args) -> int:
     )
     write_report_json(report, f"{args.out}.json")
     write_confusion_csv(matrix, f"{args.out}.confusion.csv")
+    if args.predictions:
+        write_predictions_csv(
+            args.predictions,
+            result.video_ids,
+            result.true_labels,
+            result.predicted_labels,
+            result.probabilities,
+        )
     print(format_report_table(report))
     print(f"\nreport: {args.out}.json\nconfusion: {args.out}.confusion.csv")
+    if args.predictions:
+        print(f"predictions: {args.predictions}")
     return 0
 
 

@@ -219,7 +219,7 @@ class RawEntry:
     name: str
     presence: int
     dims: tuple[int, ...]
-    payload: bytes
+    payload: bytes | memoryview  # read_blocks gives array payloads as memoryviews
     frame_indices: tuple[int, ...] = field(default_factory=tuple)
 
 
@@ -262,11 +262,11 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 
 class _Cursor:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         if count < 0:
             raise SchemaError(f"negative size {count} for {what}")
         if count > len(self.blob) - self.pos:
@@ -280,13 +280,16 @@ class _Cursor:
 
 
 def read_blocks(path) -> list[RawEntry]:
-    """Parse a container file, verifying structure and checksum."""
+    """Parse a container file, verifying structure and checksum.
+
+    Array payloads are read-only memoryviews into the file's bytes, not
+    copies; `entry_array` makes the one copy a caller needs."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(MAGIC):
         raise TruncatedError("file shorter than magic")
     if blob[: len(MAGIC)] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:len(MAGIC)]!r}, expected {MAGIC!r}")
+        raise BadMagicError(f"bad magic {bytes(blob[:len(MAGIC)])!r}, expected {MAGIC!r}")
     if len(blob) < len(MAGIC) + 4 + 1 + 4:
         raise TruncatedError("file too short for header and checksum")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
@@ -304,7 +307,7 @@ def read_blocks(path) -> list[RawEntry]:
     for _ in range(count):
         (name_len,) = cur.unpack("<H", "entry name length")
         try:
-            name = cur.take(name_len, "entry name").decode("utf-8")
+            name = bytes(cur.take(name_len, "entry name")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"entry name is not valid UTF-8: {exc}") from None
         presence, ndim = cur.unpack("<BB", f"entry {name!r} header")
@@ -318,7 +321,7 @@ def read_blocks(path) -> list[RawEntry]:
         if presence == 2:
             if ndim != 1:
                 raise SchemaError(f"JSON entry {name!r} must be 1-D byte-sized")
-            payload = cur.take(dims[0], f"entry {name!r} payload")
+            payload = bytes(cur.take(dims[0], f"entry {name!r} payload"))
         else:
             # Python ints: a product of u32 dims cannot overflow here.
             payload = cur.take(math.prod(dims) * PAYLOAD_DTYPE.itemsize, f"entry {name!r} payload")
@@ -329,8 +332,9 @@ def read_blocks(path) -> list[RawEntry]:
 
 
 def array_entry(name: str, arr: np.ndarray, presence: int = 1) -> RawEntry:
-    data = np.ascontiguousarray(arr, dtype=PAYLOAD_DTYPE)
-    return RawEntry(name, presence, tuple(int(d) for d in arr.shape), data.tobytes())
+    # tobytes writes row-major order whatever arr's memory layout.
+    payload = np.asarray(arr, dtype=PAYLOAD_DTYPE).tobytes()
+    return RawEntry(name, presence, tuple(int(d) for d in arr.shape), payload)
 
 
 def json_entry(name: str, obj) -> RawEntry:
@@ -338,11 +342,13 @@ def json_entry(name: str, obj) -> RawEntry:
     return RawEntry(name, 2, (len(payload),), payload)
 
 
-def entry_array(entry: RawEntry) -> np.ndarray:
+def entry_array(entry: RawEntry, order: str = "C") -> np.ndarray:
+    """A fresh float32 array of the entry's (row-major) payload, laid out
+    in memory `order` ("C" or "F"); one copy either way."""
     if len(entry.payload) != math.prod(entry.dims) * PAYLOAD_DTYPE.itemsize:
         raise SchemaError(f"entry {entry.name!r}: payload size does not match dims {entry.dims}")
-    arr = np.frombuffer(entry.payload, dtype=PAYLOAD_DTYPE).astype(np.float32)
-    return arr.reshape(entry.dims)
+    arr = np.frombuffer(entry.payload, dtype=PAYLOAD_DTYPE).reshape(entry.dims)
+    return arr.astype(np.float32, order=order)
 
 
 def entry_json(entry: RawEntry):

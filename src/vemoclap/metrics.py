@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass
@@ -111,6 +112,23 @@ def confusion_csv(matrix: ConfusionMatrix) -> str:
 
 def write_confusion_csv(matrix: ConfusionMatrix, path) -> None:
     atomic_write_bytes(path, confusion_csv(matrix).encode("utf-8"))
+
+
+def write_predictions_csv(
+    path,
+    video_ids: Sequence[str],
+    true_labels: Sequence[int],
+    predicted_labels: Sequence[int],
+    probabilities: np.ndarray,
+) -> None:
+    """One CSV row per video: id, true and predicted class names, then each
+    class's probability as the shortest repr that reads back exactly."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["video_id", "true", "predicted", *CLASS_NAMES])
+    for vid, t, p, probs in zip(video_ids, true_labels, predicted_labels, probabilities):
+        writer.writerow([vid, CLASS_NAMES[t], CLASS_NAMES[p], *(repr(float(x)) for x in probs)])
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 def format_report_table(report: RunReport) -> str:

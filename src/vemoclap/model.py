@@ -242,6 +242,8 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> FusionParam
     """Glorot-uniform weight matrices, zero biases, unit layer-norm scale.
 
     Deterministic: the same seed reproduces every weight bit-for-bit.
+    Weight matrices are drawn in row-major order and stored output-major
+    (Fortran order; see `autograd.Tensor`).
     """
     rng = SplitMix64(seed).derive("init")
 
@@ -249,10 +251,10 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> FusionParam
         if len(shape) == 2:
             fan_in, fan_out = shape
             a = float(np.sqrt(6.0 / (fan_in + fan_out)))
-            arr = rng.uniform(-a, a, shape, dtype=dtype)
+            arr = np.asfortranarray(rng.uniform(-a, a, shape, dtype=dtype))
         else:
-            arr = np.ones(shape) if name.endswith(".gamma") else np.zeros(shape)
-        return Tensor(arr, requires_grad=True, dtype=dtype)
+            arr = np.ones(shape, dtype) if name.endswith(".gamma") else np.zeros(shape, dtype)
+        return Tensor(arr, requires_grad=True, copy=False)
 
     params = _build(config, make)
     log.info("initialized %d trainable parameters (seed %d)", param_count(params), seed)
@@ -434,12 +436,13 @@ def load_checkpoint(path) -> tuple[FusionParams, ModelConfig, dict]:
     def tensor_for(name: str, expect_shape: tuple[int, ...]) -> Tensor:
         if name not in entries:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
-        arr = entry_array(entries.pop(name))
-        if arr.shape != expect_shape:
+        entry = entries.pop(name)
+        if entry.dims != expect_shape:
             raise ValueError(
-                f"parameter {name!r} has shape {arr.shape}, expected {expect_shape}"
+                f"parameter {name!r} has shape {entry.dims}, expected {expect_shape}"
             )
-        return Tensor(arr, requires_grad=True)
+        # The one copy: weight matrices come out output-major.
+        return Tensor(entry_array(entry, order="F"), requires_grad=True, copy=False)
 
     params = _build(config, tensor_for)
     if entries:

@@ -112,7 +112,9 @@ def adam_step(
     `out=` into two scratch buffers, so a chunk's passes stay in cache and
     no full-size temporary is allocated; every element sees the same
     operations in the same order as the formula above, so the result is
-    the same to the bit.
+    the same to the bit. Each tensor and its moments are flattened in the
+    tensor's own memory order (output-major weights in Fortran order); a
+    gradient of another layout is read in that order too, through a copy.
     """
     b1, b2 = ADAM_BETAS
     state.step += 1
@@ -136,10 +138,11 @@ def adam_step(
             dtype.type(c)
             for c in (b1, 1.0 - b1, b2, 1.0 - b2, corr1, corr2, ADAM_EPS, config.lr)
         )
-        p_flat = np.reshape(tensor.data, -1, copy=False)
-        m_flat = np.reshape(state.m[name], -1, copy=False)
-        v_flat = np.reshape(state.v[name], -1, copy=False)
-        g_flat = g.reshape(-1)
+        order = ag.memory_order(tensor.data)
+        p_flat = np.reshape(tensor.data, -1, order=order, copy=False)
+        m_flat = np.reshape(state.m[name], -1, order=order, copy=False)
+        v_flat = np.reshape(state.v[name], -1, order=order, copy=False)
+        g_flat = np.reshape(g, -1, order=order)
         for start in range(0, p_flat.size, ADAM_CHUNK):
             part = slice(start, start + ADAM_CHUNK)
             gc, m, v, p = g_flat[part], m_flat[part], v_flat[part], p_flat[part]
@@ -193,12 +196,15 @@ def _prepare(vf: VideoFeatures, indices, stats: ModalityStats) -> VideoFeatures:
 
 
 def _snapshot(params: FusionParams) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in params.named_tensors()}
+    """Copies of the parameters, each in its tensor's memory layout."""
+    return {name: t.data.copy(order="K") for name, t in params.named_tensors()}
 
 
 def _restore(params: FusionParams, snapshot: dict[str, np.ndarray]) -> None:
+    """Hands the snapshot's arrays to the parameters; the caller drops the
+    snapshot afterwards."""
     for name, t in params.named_tensors():
-        t.data = snapshot[name].copy()
+        t.data = snapshot[name]
 
 
 def _predict_batch(

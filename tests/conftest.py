@@ -11,12 +11,15 @@ def finite_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Independent central-difference oracle.
 
     `f` takes no arguments and recomputes the scalar from `x`, which is
-    perturbed in place one element at a time (and restored).
+    perturbed in place one element at a time (and restored). Both `x` and
+    the result are walked in x's own memory order, through views, so an
+    output-major (Fortran-order) weight is perturbed too.
     """
     assert x.dtype == np.float64, "finite differences need float64 storage"
+    order = ag.memory_order(x)
     grad = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = grad.ravel()
+    flat = np.reshape(x, -1, order=order, copy=False)
+    gflat = np.reshape(grad, -1, order=order, copy=False)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps

@@ -173,6 +173,31 @@ def test_matmul_bias_matches_separate_add_bit_for_bit(rng):
         assert x.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 3, 4, 16, ag.SMALL_PRODUCT_ROWS - 1, ag.SMALL_PRODUCT_ROWS, 200])
+def test_matmul_with_output_major_weight_keeps_values_and_layouts(rng, rows):
+    # Below SMALL_PRODUCT_ROWS the product runs as (w.T @ a.T).T; either
+    # way the output is a fresh row-major array and dW comes out output-major.
+    a_val = rng.uniform(0.0, 1.0, (rows, 48)).astype(np.float32)
+    w_val = rng.uniform(-0.2, 0.2, (48, 24)).astype(np.float32)
+    bias_val = rng.standard_normal(24).astype(np.float32)
+    g_val = rng.standard_normal((rows, 24)).astype(np.float32)
+    a = Tensor(a_val, requires_grad=True)
+    w = Tensor(np.asfortranarray(w_val), requires_grad=True)
+    bias = Tensor(bias_val, requires_grad=True)
+    assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
+    with Graph(Mode.TRAINING) as g:
+        out = ag.matmul(a, w, bias)
+        loss = ag.sum_all(ag.mul(out, Tensor(g_val)))
+    g.backward(loss)
+
+    assert out.data.flags.c_contiguous
+    exact = a_val.astype(np.float64) @ w_val.astype(np.float64) + bias_val
+    assert np.allclose(out.data, exact, rtol=1e-5, atol=1e-5)
+    assert w.grad.flags.f_contiguous
+    assert np.allclose(w.grad, a_val.astype(np.float64).T @ g_val, rtol=1e-5, atol=1e-4)
+    assert np.allclose(a.grad, g_val.astype(np.float64) @ w_val.T, rtol=1e-5, atol=1e-4)
+
+
 def test_matmul_bias_shape_and_dtype_are_checked():
     a = Tensor(np.ones((2, 3), dtype=np.float32))
     b = Tensor(np.ones((3, 4), dtype=np.float32))
@@ -812,6 +837,46 @@ def test_grad_check_softmax_pick_first():
 
     report = ag.grad_check(f_scalar, x, eps=1e-3, tol=1e-4)
     assert report.passed
+
+
+@pytest.mark.parametrize("rows", [3, ag.SMALL_PRODUCT_ROWS + 2])
+def test_grad_check_perturbs_an_output_major_weight_itself(rng, rows):
+    a = t64(rng.uniform(-1.0, 1.0, (rows, 6)))
+    c = t64(rng.standard_normal((rows, 5)))
+    w = t64(np.asfortranarray(rng.uniform(-0.5, 0.5, (6, 5))))
+    assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
+
+    def f(t):
+        return ag.sum_all(ag.mul(ag.softmax(ag.matmul(a, t)), c))
+
+    report = ag.grad_check(f, w, eps=1e-5, tol=1e-6)
+    assert report.passed, str(report)
+    assert report.checked == w.size
+
+    w.requires_grad = True
+    with Graph(Mode.TRAINING) as g:
+        loss = f(w)
+    g.backward(loss)
+    assert np.any(w.grad != 0.0)
+    oracle = finite_difference(lambda: f(w).data, w.data, eps=1e-5)
+    assert max_rel_err(w.grad, oracle) < 1e-6
+
+    # A perturbation through a copy (what `ravel` returns for this layout)
+    # never reaches f's input: every central difference reads 0, so such
+    # an oracle fails this check.
+    copy_based = np.empty(w.size)
+    flat = w.data.ravel()
+    assert not np.shares_memory(flat, w.data)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + 1e-5
+        hi = float(f(w).data)
+        flat[i] = orig - 1e-5
+        lo = float(f(w).data)
+        flat[i] = orig
+        copy_based[i] = (hi - lo) / 2e-5
+    assert not np.any(copy_based)
+    assert max_rel_err(w.grad, copy_based.reshape(w.shape)) > 0.5
 
 
 def test_grad_check_rejects_training_dropout():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import vemoclap.autograd as ag
 from vemoclap.cli import main
 from vemoclap.container import EmotionLabel
 from vemoclap.dataset import DatasetManifest, ManifestRow, read_manifest, write_manifest
+from vemoclap.metrics import CLASS_NAMES
 
 SMALL_DIMS = "8,6,6,4"
 
@@ -97,21 +99,34 @@ def test_eval_accuracy_matches_library_evaluate(synth_dir, tmp_path, capsys):
         capsys,
     )
     base = tmp_path / "rep"
-    code, _, err = run(
+    predictions = tmp_path / "preds.csv"
+    code, out, err = run(
         [
             "eval", "--manifest", str(synth_dir / "manifest.csv"), "--stats", str(stats_path),
             "--checkpoint", str(ckpt), "--split", "test", "--out", str(base),
+            "--predictions", str(predictions),
         ],
         capsys,
     )
     assert code == 0, err
     report = json.loads((tmp_path / "rep.json").read_text())
+    assert f"predictions: {predictions}" in out
+    with open(predictions, newline="") as fh:
+        rows = list(csv.reader(fh))
 
     manifest = read_manifest(synth_dir / "manifest.csv")
     params, config, _ = load_checkpoint(ckpt)
     stats = load_stats(stats_path)
     lib = evaluate(manifest.load_split("test"), params, config, stats)
     assert report["accuracy"] == lib.accuracy
+    # One predictions row per video, exactly what evaluate() returned.
+    assert rows[0] == ["video_id", "true", "predicted", *CLASS_NAMES]
+    assert len(rows) - 1 == len(lib.video_ids) > 0
+    for row, vid, t, p, probs in zip(
+        rows[1:], lib.video_ids, lib.true_labels, lib.predicted_labels, lib.probabilities
+    ):
+        assert row[:3] == [vid, CLASS_NAMES[t], CLASS_NAMES[p]]
+        assert [float(x) for x in row[3:]] == [float(x) for x in probs]
 
 
 def test_clean_prints_paper_counts(tmp_path, capsys):

@@ -166,25 +166,30 @@ def test_adam_three_step_trajectory_matches_reference():
         assert np.allclose(theta.data, ref, atol=1e-10)
 
 
-class TwoTensorParams:
-    def __init__(self, small, ragged):
-        self.small, self.ragged = small, ragged
+class NamedParams:
+    def __init__(self, tensors):
+        self.tensors = tensors
 
     def named_tensors(self):
-        return [("small", self.small), ("ragged", self.ragged)]
+        return list(self.tensors.items())
 
 
 def test_chunked_adam_matches_plain_reference_bit_for_bit():
-    # One tensor smaller than a chunk, one whose size is not a multiple of it.
+    # One tensor smaller than a chunk, one whose size is not a multiple of
+    # it, and an output-major (Fortran-order) matrix over one chunk in size
+    # fed row-major gradients.
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-    shapes = {"small": (7, 11), "ragged": (2 * ADAM_CHUNK + 4099,)}
+    shapes = {"small": (7, 11), "ragged": (2 * ADAM_CHUNK + 4099,), "output_major": (300, 229)}
     rng = np.random.default_rng(21)
     start = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
+    start["output_major"] = np.asfortranarray(start["output_major"])
     grads = [
         {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()}
         for _ in range(3)
     ]
-    params = TwoTensorParams(*(Tensor(start[name], requires_grad=True) for name in shapes))
+    params = NamedParams({name: Tensor(start[name], requires_grad=True) for name in shapes})
+    assert params.tensors["output_major"].data.flags.f_contiguous
+    assert all(step_grads["output_major"].flags.c_contiguous for step_grads in grads)
     state = AdamState.for_params(params)
     config = TrainConfig(lr=lr)
 
@@ -205,6 +210,8 @@ def test_chunked_adam_matches_plain_reference_bit_for_bit():
             assert tensor.data.tobytes() == ref[name].tobytes(), (name, t)
             assert state.m[name].tobytes() == m[name].tobytes(), (name, t)
             assert state.v[name].tobytes() == v[name].tobytes(), (name, t)
+        for held in (params.tensors["output_major"].data, state.m["output_major"], state.v["output_major"]):
+            assert held.flags.f_contiguous
 
 
 def test_adam_aborts_on_non_finite_gradient():
@@ -335,6 +342,24 @@ def test_training_in_a_forked_child_after_the_pool_ran(tmp_path, fanned_out):
             child.kill()
             child.join()
     assert child.exitcode == 0
+
+
+def test_weight_matrices_stay_output_major_through_init_load_and_training(tmp_path):
+    def layouts(params):
+        matrices = [(name, t.data) for name, t in params.named_tensors() if t.data.ndim == 2]
+        assert len(matrices) == 13
+        return {name: (arr.flags.f_contiguous, arr.flags.c_contiguous) for name, arr in matrices}
+
+    output_major = {name: (True, False) for name in layouts(init_params(tiny_config(), seed=1))}
+    config, params, train_videos, val_videos, stats = small_training_setup(seed=4)
+    assert layouts(params) == output_major
+    path = tmp_path / "init.ckpt"
+    model.save_checkpoint(path, params, config, seed=4, stats_digest=stats.digest())
+    assert layouts(model.load_checkpoint(path)[0]) == output_major
+    # train() ends by handing its best-epoch snapshot back to the params.
+    tconf = TrainConfig(lr=1e-3, patience=1, max_epochs=3, batch_size=5, seed=99)
+    result = train(train_videos, val_videos, params, config, tconf, stats)
+    assert layouts(result.params) == output_major
 
 
 def test_best_checkpoint_dominates_later_epochs():
