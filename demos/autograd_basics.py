@@ -12,8 +12,9 @@ b = Tensor([[5.0, 6.0], [7.0, 8.0]])
 print("a @ b =\n", ag.matmul(a, b).data)
 
 # Ops record onto a tape only inside a TRAINING graph. backward() walks the
-# tape in reverse execution order and fills .grad on every tensor that
-# requires gradients.
+# tape in reverse execution order and fills .grad on the leaves: tensors
+# that require gradients and that no recorded op produced (here a, not
+# product or loss).
 with Graph(Mode.TRAINING) as graph:
     product = ag.matmul(a, b)
     loss = ag.sum_all(product)

@@ -17,19 +17,19 @@ Execution model
 Ops run eagerly on numpy arrays. When a :class:`Graph` in TRAINING mode is
 active (entered as a context manager), every op whose inputs require
 gradients appends a tape entry; :meth:`Graph.backward` then walks the tape
-in exact reverse execution order and accumulates gradients into
-``Tensor.grad``. With no active graph, or in INFERENCE mode, nothing is
-recorded and no gradient buffers are allocated.
+in exact reverse execution order and accumulates gradients into the
+leaves' ``Tensor.grad``. With no active graph, or in INFERENCE mode,
+nothing is recorded and no gradient buffers are allocated.
 
 Gradient ownership
 ------------------
-Backward hands each gradient array over as is: a tensor's ``.grad`` is
-the very array a vjp returned (or the sum of several), not a copy, and it
-may share memory with other tensors' gradients (``reshape`` returns a view
-in both directions). Only when one array object would become the
-``.grad`` of a second tensor in the same backward is it copied. So nothing
-may write into a ``.grad`` or a vjp's input or output in place: read
-gradients, or replace them (``t.grad = t.grad + g``), never mutate them.
+Backward sets ``.grad`` on leaves only: requires_grad tensors that no op
+on the tape produced. A leaf's ``.grad`` is the very array a vjp returned
+(or the sum of several), copied only when it is already another leaf's,
+and it may share memory with another leaf's (``reshape`` returns a view
+in both directions). So nothing may write into a ``.grad`` or a vjp's
+input or output in place: read gradients, or replace them
+(``t.grad = t.grad + g``), never mutate them.
 
 NaN/Inf anywhere is a hard error at op boundaries: tensors are validated
 at construction and every op that computes validates its output, so
@@ -47,12 +47,11 @@ of min(CPUs available to the process - 1, branches - 1) worker threads,
 made on first use (with one CPU, every branch runs on the calling
 thread). :meth:`Graph.backward` walks its own tape and, on reaching a
 `branches` call, walks the branch tapes concurrently in the same way.
-Each branch writes ``.grad`` only on the tensors its own tape produced;
-the gradients it leaves for tensors from outside the branch (the leaves)
-are summed and handed over on the calling thread, so no two threads
-write one ``.grad``. Branches do not nest. Apart from that, a Graph and
-its tensors belong to one thread for the duration of a forward/backward
-pass; independent graphs may run on separate threads.
+The gradients a branch leaves for tensors from outside it are summed on
+the calling thread, which alone sets ``.grad``. Branches do not nest.
+Apart from that, a Graph and its tensors belong to one thread for the
+duration of a forward/backward pass; independent graphs may run on
+separate threads.
 """
 
 from __future__ import annotations
@@ -212,15 +211,16 @@ class Graph:
         )
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad on every requires_grad tensor reachable from loss.
+        """Populate .grad on every leaf that loss depends on: each
+        requires_grad tensor reachable from loss that no op on this tape
+        produced. Intermediate tensors get no .grad.
 
         Walks the tape in exact reverse execution order, and the tapes of a
         `branches` call concurrently where that call stands on the tape.
         Repeated calls accumulate into existing gradients. Gradient arrays
         become .grad without a copy (see "Gradient ownership" in the module
-        docstring): a copy is made only when the same array object would
-        otherwise be the .grad of two tensors, as when `add` hands `g` to
-        both operands.
+        docstring) unless the same array is already another leaf's, as when
+        `add` hands `g` to two leaf operands.
         """
         if self.mode is not Mode.TRAINING:
             raise GraphUsageError("backward requires a TRAINING-mode graph")
@@ -229,25 +229,20 @@ class Graph:
         if not loss.requires_grad:
             raise GraphUsageError("loss does not depend on any requires_grad tensor recorded here")
 
-        owned: set[int] = set()  # ids of the arrays handed out as .grad so far
         flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
         holders: dict[int, Tensor] = {id(loss): loss}
-        _walk(self._tape, flowing, holders, owned)
+        _walk(self._tape, flowing, holders)
         # Whatever remains was never produced by a tape entry: the leaves.
+        owned: set[int] = set()  # ids of the arrays handed out as .grad here
         for key, g in flowing.items():
             t = holders[key]
-            if t.requires_grad:
-                _hand_over(t, g, owned)
-
-
-def _hand_over(t: Tensor, g: np.ndarray, owned: set[int]) -> None:
-    if t.grad is not None:
-        t.grad = t.grad + g
-        return
-    if id(g) in owned:
-        g = g.copy()
-    owned.add(id(g))
-    t.grad = g
+            if not t.requires_grad:
+                continue
+            if t.grad is not None:
+                t.grad = t.grad + g
+            else:
+                t.grad = g.copy() if id(g) in owned else g
+                owned.add(id(g))
 
 
 def _accumulate(flowing: dict, holders: dict, t: Tensor, g: np.ndarray) -> None:
@@ -257,26 +252,23 @@ def _accumulate(flowing: dict, holders: dict, t: Tensor, g: np.ndarray) -> None:
     flowing[key] = g if seen is None else seen + g
 
 
-def _walk(tape: list, flowing: dict, holders: dict, owned: set[int]) -> None:
+def _walk(tape: list, flowing: dict, holders: dict) -> None:
     """Reverse-mode pass over `tape`, starting from the gradients in
-    `flowing` (keyed by tensor id, tensors in `holders`). Hands each entry's
-    output its gradient and leaves in `flowing` the gradients of tensors no
-    entry of `tape` produced."""
+    `flowing` (keyed by tensor id, tensors in `holders`). Leaves in
+    `flowing` the gradients of tensors no entry of `tape` produced."""
     for entry in reversed(tape):
         if isinstance(entry, _BranchEntry):
-            _walk_branches(entry, flowing, holders, owned)
+            _walk_branches(entry, flowing, holders)
             continue
         g_out = flowing.pop(id(entry.out), None)
         if g_out is None:
             continue
-        if entry.out.requires_grad:
-            _hand_over(entry.out, g_out, owned)
         for t, g_in in zip(entry.inputs, entry.vjp(g_out)):
             if g_in is not None:
                 _accumulate(flowing, holders, t, g_in)
 
 
-def _walk_branches(entry: _BranchEntry, flowing: dict, holders: dict, owned: set[int]) -> None:
+def _walk_branches(entry: _BranchEntry, flowing: dict, holders: dict) -> None:
     """Backward through one `branches` call: each branch's tape is walked
     concurrently from its output's gradient, on its own bookkeeping, then
     what each leaves behind joins `flowing` on this thread, last branch
@@ -284,25 +276,17 @@ def _walk_branches(entry: _BranchEntry, flowing: dict, holders: dict, owned: set
     gradient summed in the order one tape holding every branch's entries
     would have used; one a branch reaches twice gets that branch's two
     parts summed first."""
-    starts: list[Optional[np.ndarray]] = []
-    for out in entry.outs:
-        g = flowing.pop(id(out), None)
-        # A branch hands its start array out as .grad without knowing
-        # about the others or this walk, so it gets one nobody else owns.
-        if g is not None and (id(g) in owned or any(g is s for s in starts)):
-            g = g.copy()
-        starts.append(g)
+    starts = [flowing.pop(id(out), None) for out in entry.outs]
 
     def walk(graph: Graph, out: Tensor, g: Optional[np.ndarray]):
-        sub_flowing, sub_holders, sub_owned = {}, {}, set()
+        sub_flowing, sub_holders = {}, {}
         if g is not None:
             sub_flowing[id(out)], sub_holders[id(out)] = g, out
-            _walk(graph._tape, sub_flowing, sub_holders, sub_owned)
-        return sub_flowing, sub_holders, sub_owned
+            _walk(graph._tape, sub_flowing, sub_holders)
+        return sub_flowing, sub_holders
 
     walks = [functools.partial(walk, *args) for args in zip(entry.graphs, entry.outs, starts)]
-    for sub_flowing, sub_holders, sub_owned in reversed(_run_all(walks)):
-        owned |= sub_owned
+    for sub_flowing, sub_holders in reversed(_run_all(walks)):
         for key, g in sub_flowing.items():
             _accumulate(flowing, holders, sub_holders[key], g)
 

@@ -18,6 +18,8 @@ One file stores the five pretrained-feature arrays for one video. Layout
                        or raw bytes (presence 2: dims = [byte count])
     crc32          u32, over every preceding byte
 
+Entry names are unique within a file; a repeated name is a SchemaError.
+
 Feature containers hold six entries in canonical order: a "meta" JSON
 entry carrying video_id and label, then clip, beats, expression,
 ocr_sentiment, asr_sentiment. Model checkpoints reuse the same codec with
@@ -96,6 +98,9 @@ class EmotionLabel(IntEnum):
         except KeyError:
             valid = ", ".join(m.label_name for m in cls)
             raise ValueError(f"unknown emotion label {name!r}; expected one of: {valid}") from None
+
+
+CLASS_COUNT = len(EmotionLabel)
 
 
 @dataclass(eq=False)
@@ -280,7 +285,8 @@ class _Cursor:
 
 
 def read_blocks(path) -> list[RawEntry]:
-    """Parse a container file, verifying structure and checksum.
+    """Parse a container file, verifying structure, checksum and that no
+    entry name repeats.
 
     Array payloads are read-only memoryviews into the file's bytes, not
     copies; `entry_array` makes the one copy a caller needs."""
@@ -304,12 +310,16 @@ def read_blocks(path) -> list[RawEntry]:
         raise VersionError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
 
     entries = []
+    names: set[str] = set()
     for _ in range(count):
         (name_len,) = cur.unpack("<H", "entry name length")
         try:
             name = bytes(cur.take(name_len, "entry name")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"entry name is not valid UTF-8: {exc}") from None
+        if name in names:
+            raise SchemaError(f"entry name {name!r} appears twice")
+        names.add(name)
         presence, ndim = cur.unpack("<BB", f"entry {name!r} header")
         if presence not in (0, 1, 2):
             raise SchemaError(f"entry {name!r}: unknown presence flag {presence}")

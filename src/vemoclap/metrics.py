@@ -10,9 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .container import EmotionLabel, atomic_write_bytes
+from .container import CLASS_COUNT, EmotionLabel, atomic_write_bytes
 
-CLASS_COUNT = 6
 CLASS_NAMES = [label.label_name for label in EmotionLabel]
 
 

@@ -44,6 +44,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .container import (
+    CLASS_COUNT,
     MODALITY_NAMES,
     SEQUENTIAL_MODALITIES,
     RawEntry,
@@ -87,7 +88,6 @@ class ModelConfig:
     heads: int = 4
     dropout_p: float = 0.5
     n: int = 16
-    class_count: int = 6
     pairings: tuple[tuple[str, str], ...] = DEFAULT_PAIRINGS
 
     def __post_init__(self):
@@ -109,8 +109,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if self.class_count != 6:
-            raise ConfigError("the classifier is fixed at 6 emotion classes")
         queries = [q for q, _ in self.pairings]
         if sorted(queries) != sorted(SEQUENTIAL_MODALITIES):
             raise ConfigError(
@@ -135,14 +133,16 @@ class ModelConfig:
             "heads": self.heads,
             "dropout_p": self.dropout_p,
             "n": self.n,
-            "class_count": self.class_count,
+            "class_count": CLASS_COUNT,
             "pairings": [list(p) for p in self.pairings],
         }
 
     @classmethod
     def from_json_obj(cls, obj) -> "ModelConfig":
         """Inverse of `to_json_obj`. A missing or wrongly typed field is a
-        ConfigError (a ValueError) that names the field."""
+        ConfigError (a ValueError) that names the field. "class_count" is
+        not a setting: it records the CLASS_COUNT (6) classes and must
+        equal it."""
 
         def is_int(v) -> bool:
             return isinstance(v, int) and not isinstance(v, bool)
@@ -159,7 +159,7 @@ class ModelConfig:
             "heads": (is_int, "an integer"),
             "dropout_p": (lambda v: is_int(v) or isinstance(v, float), "a number"),
             "n": (is_int, "an integer"),
-            "class_count": (is_int, "an integer"),
+            "class_count": (lambda v: is_int(v) and v == CLASS_COUNT, f"the integer {CLASS_COUNT}"),
             "pairings": (
                 lambda v: isinstance(v, list) and all(is_pair(p) for p in v),
                 "a list of [query, key/value] name pairs",
@@ -172,7 +172,7 @@ class ModelConfig:
                 raise ConfigError(f"model config is missing field {name!r}")
             if not check(obj[name]):
                 raise ConfigError(f"model config field {name!r} must be {what}, got {obj[name]!r}")
-        return cls(**{name: obj[name] for name in checks})
+        return cls(**{name: obj[name] for name in checks if name != "class_count"})
 
     def digest(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -233,8 +233,8 @@ def _build(config: ModelConfig, make: Callable[[str, tuple[int, ...]], Tensor]) 
         pairings.append(
             AttentionParams(**{f: make(f"pairings.{i}.{f}", shape) for f, shape in shapes.items()})
         )
-    w_head = make("head.weight", (config.head_in_dim, config.class_count))
-    b_head = make("head.bias", (config.class_count,))
+    w_head = make("head.weight", (config.head_in_dim, CLASS_COUNT))
+    b_head = make("head.bias", (CLASS_COUNT,))
     return FusionParams(pairings, w_head, b_head)
 
 

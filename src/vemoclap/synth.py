@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import EmotionLabel, VideoFeatures, write_container
+from .container import CLASS_COUNT, EmotionLabel, VideoFeatures, write_container
 from .dataset import DatasetManifest, ManifestRow, write_manifest
-from .metrics import CLASS_COUNT
 from .rng import SplitMix64
 
 DEFAULT_DIMS = {

@@ -277,9 +277,8 @@ def _train_step(
 ) -> float:
     """One Adam step on `batch`; returns its loss.
 
-    The step's graph, with every activation and gradient it recorded, is
-    freed on return, before the next step or the validation pass
-    allocates. Branches that ran on a worker thread allocated part of it
+    The step's graph, with every activation it recorded, is freed on
+    return, before the next step or the validation pass allocates. Branches that ran on a worker thread allocated part of it
     from that thread's malloc arena, which the calling thread cannot
     reuse; held on past the step, it raised peak memory by 5-13%."""
     with Graph(Mode.TRAINING) as graph:

@@ -156,6 +156,20 @@ def test_unknown_entry_rejected(tmp_path, rng):
         read_container(path)
 
 
+def test_repeated_entry_name_rejected(tmp_path, rng):
+    path = tmp_path / "v.vmf"
+    write_container(make_video(rng), path)
+    entries = read_blocks(path)
+    clip = entries[1]
+    assert clip.name == "clip"
+    entries.append(array_entry("clip", np.full(clip.dims, 7.0, dtype=np.float32)))
+    write_blocks(path, entries)
+    with pytest.raises(SchemaError, match="'clip' appears twice"):
+        read_blocks(path)
+    with pytest.raises(SchemaError, match="'clip' appears twice"):
+        read_container(path)
+
+
 def test_validate_features_catches_bad_invariants(rng):
     vf = make_video(rng, n_stored=4, k=2)
     vf.beats = vf.beats[:3]

@@ -440,6 +440,22 @@ def tape_entries(graph):
             yield entry
 
 
+def test_training_step_in_branches_gives_gradients_to_parameters_only(rng, fanned_out):
+    config = tiny_config(dropout=0.5)
+    params = init_params(config, seed=0)
+    videos = mixed_batch(rng, config.n, count=8)
+    with Graph(Mode.TRAINING) as g:
+        probs = forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
+        loss = cross_entropy(probs, [int(vf.label) for vf in videos])
+    g.backward(loss)
+    assert fanned_out == [3]
+    entries = list(tape_entries(g))
+    assert len(entries) == 35
+    assert all(e.out.grad is None for e in entries)
+    for name, t in params.named_tensors():
+        assert t.grad is not None and t.grad.shape == t.shape, name
+
+
 def test_expression_projections_see_only_real_rows(rng):
     config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
@@ -595,6 +611,21 @@ def test_checkpoint_missing_parameter_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_a_repeated_parameter_is_rejected(tmp_path):
+    from vemoclap.container import SchemaError, array_entry, read_blocks, write_blocks
+
+    config = tiny_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(config, seed=5), config, seed=5, stats_digest="x")
+    entries = read_blocks(path)
+    bias = entries[-1]
+    assert bias.name == "head.bias"
+    entries.append(array_entry("head.bias", np.full(bias.dims, 7.0, dtype=np.float32)))
+    write_blocks(path, entries)
+    with pytest.raises(SchemaError, match="'head.bias' appears twice"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -612,6 +643,8 @@ def test_checkpoint_missing_parameter_detected(tmp_path):
         ("input_dims", {**tiny_dims(), "ocr_sentiment": 3}),
         ("input_dims", {**tiny_dims(), "beats": -2}),
         ("input_dims", {**tiny_dims(), "expression": 0}),
+        ("class_count", 7),
+        ("class_count", 6.0),
     ],
 )
 def test_checkpoint_header_field_missing_or_mistyped_is_a_value_error(tmp_path, field, value):
