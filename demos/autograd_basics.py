@@ -6,25 +6,21 @@ import vemoclap.autograd as ag
 from vemoclap.autograd import Graph, Mode, Tensor
 from vemoclap.rng import SplitMix64
 
-# Tensors are float32 numpy arrays with an optional gradient buffer.
+# Tensors are float32 numpy arrays, optionally marked as needing a gradient.
 a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 b = Tensor([[5.0, 6.0], [7.0, 8.0]])
 print("a @ b =\n", ag.matmul(a, b).data)
 
 # Ops record onto a tape only inside a TRAINING graph. backward() walks the
-# tape in reverse execution order and fills .grad on the leaves: tensors
-# that require gradients and that no recorded op produced (here a, not
-# product or loss).
+# tape in reverse execution order and returns the gradients of the leaves:
+# tensors that require gradients and that no recorded op produced (here a,
+# not product or loss). It changes no tensor.
 with Graph(Mode.TRAINING) as graph:
     product = ag.matmul(a, b)
     loss = ag.sum_all(product)
 print("tape length:", len(graph))
-graph.backward(loss)
-print("d(sum(a@b))/da =\n", a.grad)  # rows of ones times b^T
-
-# Calling backward again accumulates, exactly like repeated .backward():
-graph.backward(loss)
-print("after second backward, grad doubled:\n", a.grad)
+grads = graph.backward(loss)
+print("d(sum(a@b))/da =\n", grads[a])  # rows of ones times b^T
 
 # Softmax is max-shifted, so huge logits stay finite:
 logits = Tensor([1000.0, 1000.0, 999.0])

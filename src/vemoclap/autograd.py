@@ -17,19 +17,20 @@ Execution model
 Ops run eagerly on numpy arrays. When a :class:`Graph` in TRAINING mode is
 active (entered as a context manager), every op whose inputs require
 gradients appends a tape entry; :meth:`Graph.backward` then walks the tape
-in exact reverse execution order and accumulates gradients into the
-leaves' ``Tensor.grad``. With no active graph, or in INFERENCE mode,
-nothing is recorded and no gradient buffers are allocated.
+in exact reverse execution order and returns the leaves' gradients. With
+no active graph, or in INFERENCE mode, nothing is recorded and no
+gradient is computed.
 
 Gradient ownership
 ------------------
-Backward sets ``.grad`` on leaves only: requires_grad tensors that no op
-on the tape produced. A leaf's ``.grad`` is the very array a vjp returned
-(or the sum of several), copied only when it is already another leaf's,
-and it may share memory with another leaf's (``reshape`` returns a view
-in both directions). So nothing may write into a ``.grad`` or a vjp's
-input or output in place: read gradients, or replace them
-(``t.grad = t.grad + g``), never mutate them.
+Backward returns a dict from each leaf (a requires_grad tensor that no
+op on the tape produced) to its gradient, and changes no tensor. A
+returned gradient is the very array a vjp returned (or the sum of
+several), so two leaves may get one array (``add`` hands ``g`` to both
+operands) or arrays that share memory (``reshape`` returns a view in
+both directions). So nothing may write into a returned gradient or a
+vjp's input or output in place: read gradients, or replace them, never
+mutate them.
 
 NaN/Inf anywhere is a hard error at op boundaries: tensors are validated
 at construction and every op that computes validates its output, so
@@ -48,7 +49,7 @@ made on first use (with one CPU, every branch runs on the calling
 thread). :meth:`Graph.backward` walks its own tape and, on reaching a
 `branches` call, walks the branch tapes concurrently in the same way.
 The gradients a branch leaves for tensors from outside it are summed on
-the calling thread, which alone sets ``.grad``. Branches do not nest.
+the calling thread, which alone builds the result. Branches do not nest.
 Apart from that, a Graph and its tensors belong to one thread for the
 duration of a forward/backward pass; independent graphs may run on
 separate threads.
@@ -112,7 +113,7 @@ def memory_order(arr: np.ndarray) -> str:
 
 
 class Tensor:
-    """Dense float array, optionally carrying a gradient buffer.
+    """Dense float array, optionally marked as needing a gradient.
 
     Activations are row-major (C order). The model's weight matrices are
     output-major: Fortran order, so a logical [in, out] matrix holds each
@@ -122,9 +123,12 @@ class Tensor:
 
     `copy=False` adopts `data` as is when it already is an ndarray of the
     dtype; the caller hands that array over and keeps no other use of it.
+
+    Tensor defines no __eq__, so it hashes by identity: two tensors with
+    equal data are distinct dict keys, as in `Graph.backward`'s result.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, *, copy: bool = True):
         if dtype is None:
@@ -138,7 +142,6 @@ class Tensor:
         _ensure_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -151,9 +154,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -210,17 +210,16 @@ class Graph:
             sum(map(len, e.graphs)) if isinstance(e, _BranchEntry) else 1 for e in self._tape
         )
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate .grad on every leaf that loss depends on: each
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """d loss / d leaf for every leaf that loss depends on: each
         requires_grad tensor reachable from loss that no op on this tape
-        produced. Intermediate tensors get no .grad.
+        produced. No tensor that an op on this tape produced is a key.
 
         Walks the tape in exact reverse execution order, and the tapes of a
         `branches` call concurrently where that call stands on the tape.
-        Repeated calls accumulate into existing gradients. Gradient arrays
-        become .grad without a copy (see "Gradient ownership" in the module
-        docstring) unless the same array is already another leaf's, as when
-        `add` hands `g` to two leaf operands.
+        Changes no tensor and leaves the tape as it was, so a second call
+        returns the same gradients. They are not copied (see "Gradient
+        ownership" in the module docstring).
         """
         if self.mode is not Mode.TRAINING:
             raise GraphUsageError("backward requires a TRAINING-mode graph")
@@ -229,46 +228,34 @@ class Graph:
         if not loss.requires_grad:
             raise GraphUsageError("loss does not depend on any requires_grad tensor recorded here")
 
-        flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-        holders: dict[int, Tensor] = {id(loss): loss}
-        _walk(self._tape, flowing, holders)
+        flowing: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.dtype)}
+        _walk(self._tape, flowing)
         # Whatever remains was never produced by a tape entry: the leaves.
-        owned: set[int] = set()  # ids of the arrays handed out as .grad here
-        for key, g in flowing.items():
-            t = holders[key]
-            if not t.requires_grad:
-                continue
-            if t.grad is not None:
-                t.grad = t.grad + g
-            else:
-                t.grad = g.copy() if id(g) in owned else g
-                owned.add(id(g))
+        return {t: g for t, g in flowing.items() if t.requires_grad}
 
 
-def _accumulate(flowing: dict, holders: dict, t: Tensor, g: np.ndarray) -> None:
-    key = id(t)
-    holders[key] = t
-    seen = flowing.get(key)
-    flowing[key] = g if seen is None else seen + g
+def _accumulate(flowing: dict, t: Tensor, g: np.ndarray) -> None:
+    seen = flowing.get(t)
+    flowing[t] = g if seen is None else seen + g
 
 
-def _walk(tape: list, flowing: dict, holders: dict) -> None:
+def _walk(tape: list, flowing: dict) -> None:
     """Reverse-mode pass over `tape`, starting from the gradients in
-    `flowing` (keyed by tensor id, tensors in `holders`). Leaves in
-    `flowing` the gradients of tensors no entry of `tape` produced."""
+    `flowing` (keyed by tensor). Leaves in `flowing` the gradients of
+    tensors no entry of `tape` produced."""
     for entry in reversed(tape):
         if isinstance(entry, _BranchEntry):
-            _walk_branches(entry, flowing, holders)
+            _walk_branches(entry, flowing)
             continue
-        g_out = flowing.pop(id(entry.out), None)
+        g_out = flowing.pop(entry.out, None)
         if g_out is None:
             continue
         for t, g_in in zip(entry.inputs, entry.vjp(g_out)):
             if g_in is not None:
-                _accumulate(flowing, holders, t, g_in)
+                _accumulate(flowing, t, g_in)
 
 
-def _walk_branches(entry: _BranchEntry, flowing: dict, holders: dict) -> None:
+def _walk_branches(entry: _BranchEntry, flowing: dict) -> None:
     """Backward through one `branches` call: each branch's tape is walked
     concurrently from its output's gradient, on its own bookkeeping, then
     what each leaves behind joins `flowing` on this thread, last branch
@@ -276,19 +263,19 @@ def _walk_branches(entry: _BranchEntry, flowing: dict, holders: dict) -> None:
     gradient summed in the order one tape holding every branch's entries
     would have used; one a branch reaches twice gets that branch's two
     parts summed first."""
-    starts = [flowing.pop(id(out), None) for out in entry.outs]
+    starts = [flowing.pop(out, None) for out in entry.outs]
 
-    def walk(graph: Graph, out: Tensor, g: Optional[np.ndarray]):
-        sub_flowing, sub_holders = {}, {}
+    def walk(graph: Graph, out: Tensor, g: Optional[np.ndarray]) -> dict:
+        sub_flowing = {}
         if g is not None:
-            sub_flowing[id(out)], sub_holders[id(out)] = g, out
-            _walk(graph._tape, sub_flowing, sub_holders)
-        return sub_flowing, sub_holders
+            sub_flowing[out] = g
+            _walk(graph._tape, sub_flowing)
+        return sub_flowing
 
     walks = [functools.partial(walk, *args) for args in zip(entry.graphs, entry.outs, starts)]
-    for sub_flowing, sub_holders in reversed(_run_all(walks)):
-        for key, g in sub_flowing.items():
-            _accumulate(flowing, holders, sub_holders[key], g)
+    for sub_flowing in reversed(_run_all(walks)):
+        for t, g in sub_flowing.items():
+            _accumulate(flowing, t, g)
 
 
 def _recording() -> Optional[Graph]:
@@ -309,7 +296,6 @@ def _emit(
         _ensure_finite(out_data, name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.grad = None
     out.requires_grad = False
     graph = _recording()
     if graph is not None and any(t.requires_grad for t in inputs):
@@ -934,20 +920,18 @@ def grad_check(
         )
 
     order = memory_order(x.data)
-    prev_requires, prev_grad = x.requires_grad, x.grad
+    prev_requires = x.requires_grad
     x.requires_grad = True
-    x.grad = None
     try:
         with Graph(Mode.TRAINING) as g:
             y = f(x)
-        g.backward(y)
-        if x.grad is None:
-            raise GraphUsageError("f does not depend on x; nothing to check")
-        # Element i of g_ad belongs to element i of `flat` below.
-        g_ad = np.reshape(x.grad.astype(np.float64), -1, order=order)
+        grad = g.backward(y).get(x)
     finally:
         x.requires_grad = prev_requires
-        x.grad = prev_grad
+    if grad is None:
+        raise GraphUsageError("f does not depend on x; nothing to check")
+    # Element i of g_ad belongs to element i of `flat` below.
+    g_ad = np.reshape(grad.astype(np.float64), -1, order=order)
 
     # A view in the data's own memory order, so each perturbation reaches
     # x itself (a copy would leave f's input unchanged).

@@ -216,16 +216,14 @@ def _model_config_from_flags(args, input_dims) -> ModelConfig:
 def cmd_train(args) -> int:
     manifest = read_manifest(args.manifest)
     stats = load_stats(args.stats)
-    if manifest.split_rows("validation"):
-        train_manifest, val_rows = manifest, manifest.split_rows("validation")
-        val_videos = [manifest.load_video(r) for r in val_rows]
-    else:
+    train_manifest, val_videos = manifest, manifest.load_split("validation")
+    if not val_videos:
         train_manifest, val_manifest = carve_validation(
             manifest, fraction=args.val_fraction, seed=args.seed
         )
-        val_videos = [val_manifest.load_video(r) for r in val_manifest.rows]
+        val_videos = val_manifest.load_split("validation")
         print(f"carved {len(val_videos)} validation videos from the train split")
-    train_videos = [train_manifest.load_video(r) for r in train_manifest.split_rows("train")]
+    train_videos = train_manifest.load_split("train")
 
     config = _model_config_from_flags(args, stats.channel_dims())
     params = init_params(config, seed=args.seed)
@@ -252,7 +250,7 @@ def cmd_train(args) -> int:
 def _load_checkpoint_with_stats(checkpoint_path, stats_path):
     params, config, header = load_checkpoint(checkpoint_path)
     stats = load_stats(stats_path)
-    if header.get("stats_digest") and header["stats_digest"] != stats.digest():
+    if header.get("stats_digest") != stats.digest():
         raise ValueError(
             "stats file digest does not match the digest recorded in the checkpoint; "
             "normalization would differ from training"

@@ -366,8 +366,10 @@ def entry_json(entry: RawEntry):
         raise SchemaError(f"entry {entry.name!r} is not a JSON entry")
     try:
         return json.loads(entry.payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, an int over Python's digit limit
         raise SchemaError(f"entry {entry.name!r}: invalid JSON payload: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"entry {entry.name!r}: JSON payload nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,6 @@ class FusionParams:
         out.append(("head.bias", self.b_head))
         return out
 
-    def zero_grad(self) -> None:
-        for _, t in self.named_tensors():
-            t.zero_grad()
-
 
 def _build(config: ModelConfig, make: Callable[[str, tuple[int, ...]], Tensor]) -> FusionParams:
     """Parameters from `make(name, shape)`, called once per trainable tensor

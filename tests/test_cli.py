@@ -252,6 +252,34 @@ def test_stats_digest_mismatch_refuses_eval(synth_dir, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("digest", ["", None], ids=["empty", "missing"])
+def test_checkpoint_without_stats_digest_refuses_predict(synth_dir, tmp_path, capsys, digest):
+    from vemoclap.container import entry_json, json_entry, read_blocks, write_blocks
+    from vemoclap.dataset import load_stats
+    from vemoclap.model import ModelConfig, init_params, save_checkpoint
+
+    stats_path = tmp_path / "stats.json"
+    run(["stats", "--manifest", str(synth_dir / "manifest.csv"), "--out", str(stats_path)], capsys)
+    dims = load_stats(stats_path).channel_dims()
+    config = ModelConfig(input_dims=dims, d=8, heads=2, dropout_p=0.0, n=4)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(config, seed=1), config, seed=1, stats_digest="")
+    if digest is None:
+        entries = read_blocks(ckpt)
+        header = entry_json(entries[0])
+        del header["stats_digest"]
+        entries[0] = json_entry("config", header)
+        write_blocks(ckpt, entries)
+    container = next(p for p in synth_dir.iterdir() if p.suffix == ".vmf")
+    code, out, err = run(
+        ["predict", "--checkpoint", str(ckpt), "--stats", str(stats_path), "--container", str(container)],
+        capsys,
+    )
+    assert code == 1
+    assert "digest" in err
+    assert out == ""
+
+
 def test_unknown_subcommand_fails(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -170,6 +170,45 @@ def test_repeated_entry_name_rejected(tmp_path, rng):
         read_container(path)
 
 
+# 200,000 levels: deeper than any recursion limit json.loads can reach.
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "payload, match",
+    [
+        (DEEP_JSON, "nests too deeply"),
+        # Past Python's 4,300-digit limit on int conversion.
+        (b'{"video_id": ' + b"1" * 5000 + b"}", "invalid JSON payload"),
+    ],
+    ids=["deep", "long-int"],
+)
+def test_unparsable_meta_json_is_a_schema_error(tmp_path, rng, payload, match):
+    path = tmp_path / "v.vmf"
+    write_container(make_video(rng), path)
+    entries = read_blocks(path)
+    assert entries[0].name == "meta"
+    entries[0] = RawEntry("meta", 2, (len(payload),), payload)
+    write_blocks(path, entries)
+    with pytest.raises(SchemaError, match=f"'meta'.*{match}"):
+        read_container(path)
+
+
+def test_deeply_nested_checkpoint_config_json_is_a_schema_error(tmp_path):
+    from vemoclap.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+
+    dims = {"clip": 2, "beats": 2, "expression": 2, "ocr_sentiment": 1, "asr_sentiment": 1}
+    config = ModelConfig(input_dims=dims, d=2, heads=1, dropout_p=0.0, n=2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(config, seed=4), config, seed=4, stats_digest="s")
+    entries = read_blocks(path)
+    assert entries[0].name == "config"
+    entries[0] = RawEntry("config", 2, (len(DEEP_JSON),), DEEP_JSON)
+    write_blocks(path, entries)
+    with pytest.raises(SchemaError, match="'config'.*nests too deeply"):
+        load_checkpoint(path)
+
+
 def test_validate_features_catches_bad_invariants(rng):
     vf = make_video(rng, n_stored=4, k=2)
     vf.beats = vf.beats[:3]

@@ -382,11 +382,11 @@ def test_padded_rows_get_zero_weight_and_zero_gradient():
         return out, loss, g, q_rows, kv_rows
 
     base, loss, g, q_rows, kv_rows = pooled(q_data, kv_data, requires_grad=True)
-    g.backward(loss)
+    grads = g.backward(loss)
     # Masked rows get exactly zero gradient; real rows do get some.
-    assert np.all(kv_rows.grad[~kv_valid] == 0.0)
-    assert np.all(np.abs(q_rows.grad).sum(axis=-1) > 0.0)
-    assert np.all(np.abs(kv_rows.grad[kv_valid]).sum(axis=-1) > 0.0)
+    assert np.all(grads[kv_rows][~kv_valid] == 0.0)
+    assert np.all(np.abs(grads[q_rows]).sum(axis=-1) > 0.0)
+    assert np.all(np.abs(grads[kv_rows][kv_valid]).sum(axis=-1) > 0.0)
 
     # Zero weight: whatever the masked rows hold, the pooled output is the same.
     kv_junk = kv_data.copy()
@@ -447,13 +447,14 @@ def test_training_step_in_branches_gives_gradients_to_parameters_only(rng, fanne
     with Graph(Mode.TRAINING) as g:
         probs = forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
         loss = cross_entropy(probs, [int(vf.label) for vf in videos])
-    g.backward(loss)
+    grads = g.backward(loss)
     assert fanned_out == [3]
     entries = list(tape_entries(g))
     assert len(entries) == 35
-    assert all(e.out.grad is None for e in entries)
+    # The parameters are the only leaves: no op output is a key.
+    assert set(grads) == {t for _, t in params.named_tensors()}
     for name, t in params.named_tensors():
-        assert t.grad is not None and t.grad.shape == t.shape, name
+        assert grads[t].shape == t.shape, name
 
 
 def test_expression_projections_see_only_real_rows(rng):

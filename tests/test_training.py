@@ -105,11 +105,11 @@ def test_cross_entropy_gradient_direction():
     probs = Tensor(probs_val, requires_grad=True)
     with Graph(Mode.TRAINING) as g:
         loss = cross_entropy(probs, [2])
-    g.backward(loss)
+    grads = g.backward(loss)
     # Only the true-label probability receives gradient; pushing it up
     # lowers the loss.
-    assert probs.grad[0, 2] < 0.0
-    others = np.delete(probs.grad[0], 2)
+    assert grads[probs][0, 2] < 0.0
+    others = np.delete(grads[probs][0], 2)
     assert np.all(others == 0.0)
 
 
@@ -241,9 +241,8 @@ def test_loss_strictly_decreases_on_fixed_batch():
         with Graph(Mode.TRAINING) as g:
             probs = forward(batch, params, config)
             loss = cross_entropy(probs, labels)
-        params.zero_grad()
-        g.backward(loss)
-        grads = {name: t.grad for name, t in params.named_tensors() if t.grad is not None}
+        leaf_grads = g.backward(loss)
+        grads = {name: leaf_grads[t] for name, t in params.named_tensors() if t in leaf_grads}
         adam_step(params, grads, state, tconf)
         losses.append(float(loss.data))
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
