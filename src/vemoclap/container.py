@@ -404,12 +404,6 @@ def read_container(path) -> VideoFeatures:
     if not isinstance(meta, dict) or "video_id" not in meta or "label" not in meta:
         raise SchemaError("meta entry must carry video_id and label")
     arrays = {name: entry_array(entries[name]) for name in MODALITY_NAMES}
-    for name in ("clip", "beats", "expression"):
-        if arrays[name].ndim != 2:
-            raise SchemaError(f"entry {name!r} must be 2-D, got {arrays[name].shape}")
-    for name in ("ocr_sentiment", "asr_sentiment"):
-        if arrays[name].ndim != 1:
-            raise SchemaError(f"entry {name!r} must be 1-D, got {arrays[name].shape}")
     try:
         label = EmotionLabel.from_name(str(meta["label"]))
     except ValueError as exc:

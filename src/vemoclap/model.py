@@ -22,9 +22,9 @@ architecture.
 The pairings meet only at the concatenation, so a training forward
 whose largest pairing output reaches BRANCH_MIN_ELEMENTS runs them
 concurrently through `autograd.branches`, and backward walks them
-concurrently too. Each pairing draws its dropout mask from its own
-`SplitMix64.split` stream: the draws a serial run would make, so the
-result is bit-identical either way.
+concurrently too. Pairing i draws its dropout mask from its own stream,
+`rng.derive("pairing", i)`, so no pairing's mask depends on another's
+draws and the result is bit-identical inline or concurrent.
 
 Parameters are immutable during inference, so any number of threads may
 share them; training owns them exclusively.
@@ -360,11 +360,8 @@ def forward(
     dtype = params.w_head.data.dtype
     arrays, lengths = _batch_arrays(videos, config)
     seqs = {name: Tensor(arrays[name], dtype=dtype) for name in SEQUENTIAL_MODALITIES}
-    # A pairing's output, and its dropout draws, are query rows x d.
-    sizes = [int(lengths[q_name].sum()) * config.d for q_name, _ in config.pairings]
-    streams = rng.split(sizes) if rng is not None else [None] * len(sizes)
 
-    def pairing(i: int, stream: Optional[SplitMix64]) -> Tensor:
+    def pairing(i: int) -> Tensor:
         q_name, kv_name = config.pairings[i]
         attn = cross_attention(
             seqs[q_name],
@@ -372,14 +369,16 @@ def forward(
             params.pairings[i],
             heads=config.heads,
             dropout_p=config.dropout_p,
-            rng=stream,
+            rng=rng.derive("pairing", i) if rng is not None else None,
             q_lengths=lengths[q_name],
             kv_lengths=lengths[kv_name],
         )
         return ag.mean_pool(attn, lengths=lengths[q_name])
 
-    runs = [functools.partial(pairing, i, stream) for i, stream in enumerate(streams)]
-    columns = ag.branches(runs) if max(sizes) >= BRANCH_MIN_ELEMENTS else [run() for run in runs]
+    runs = [functools.partial(pairing, i) for i in range(len(config.pairings))]
+    # The largest pairing output: clip's B x n query rows x d.
+    fan_out = len(videos) * config.n * config.d >= BRANCH_MIN_ELEMENTS
+    columns = ag.branches(runs) if fan_out else [run() for run in runs]
     for name in ("ocr_sentiment", "asr_sentiment"):
         columns.append(Tensor(arrays[name], dtype=dtype))
 
@@ -402,7 +401,6 @@ def save_checkpoint(
     config: ModelConfig,
     seed: int,
     stats_digest: str,
-    extra: Optional[dict] = None,
 ) -> None:
     header = {
         "kind": "vemoclap-checkpoint",
@@ -410,8 +408,6 @@ def save_checkpoint(
         "seed": int(seed),
         "stats_digest": stats_digest,
     }
-    if extra:
-        header.update(extra)
     entries: list[RawEntry] = [json_entry(CHECKPOINT_CONFIG_ENTRY, header)]
     for name, tensor in params.named_tensors():
         if tensor.data.dtype != np.float32:

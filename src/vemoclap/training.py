@@ -15,6 +15,7 @@ seed and data reproduces the history and checkpoint bit-for-bit.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,8 +52,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
@@ -173,8 +174,6 @@ class EpochStats:
 @dataclass
 class TrainResult:
     params: FusionParams
-    config: ModelConfig
-    train_config: TrainConfig
     history: list[EpochStats]
     best_epoch: int
     best_val_accuracy: float
@@ -362,11 +361,4 @@ def train(
                 break
 
     _restore(params, best_params)
-    return TrainResult(
-        params=params,
-        config=model_config,
-        train_config=train_config,
-        history=history,
-        best_epoch=best_epoch,
-        best_val_accuracy=best_acc,
-    )
+    return TrainResult(params, history, best_epoch, best_acc)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import vemoclap.autograd as ag
+import vemoclap.model as model
 from vemoclap.autograd import DegenerateInputError, Graph, Mode, ShapeError, Tensor
 from vemoclap.model import (
     DEFAULT_PAIRINGS,
@@ -476,6 +478,48 @@ def test_expression_projections_see_only_real_rows(rng):
 def test_expression_projections_see_only_real_rows_in_branches(rng, fanned_out):
     test_expression_projections_see_only_real_rows(rng)
     assert fanned_out == [3]
+
+
+def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypatch):
+    # Expression queries first: its row count, Σ max(k, 1), moves with the
+    # face counts, and its dropout draws must not shift clip -> beats's mask.
+    config = ModelConfig(
+        input_dims=tiny_dims(), d=8, heads=2, dropout_p=0.5, n=4,
+        pairings=(("expression", "clip"), ("clip", "beats"), ("beats", "clip")),
+    )
+    params = init_params(config, seed=0)
+    clip_to_beats = params.pairings[1]
+    videos = mixed_batch(rng, config.n, count=6)
+    more_faces = list(videos)
+    faces = rng.uniform(0.0, 1.0, (config.n, config.input_dims["expression"]))
+    more_faces[2] = dataclasses.replace(
+        videos[2],
+        expression=faces.astype(np.float32),
+        expression_frame_index=np.arange(config.n),
+    )
+    assert more_faces[2].k != videos[2].k
+
+    outputs = []
+    real = model.cross_attention
+
+    def recorded(q_rows, kv_rows, pairing_params, *args, **kwargs):
+        out = real(q_rows, kv_rows, pairing_params, *args, **kwargs)
+        if pairing_params is clip_to_beats:
+            outputs.append(out.data.tobytes())
+        return out
+
+    monkeypatch.setattr(model, "cross_attention", recorded)
+    for batch in (videos, more_faces):
+        with Graph(Mode.TRAINING):
+            forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
+    assert len(outputs) == 2 and outputs[0] == outputs[1]
+
+
+def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows_in_branches(
+    rng, monkeypatch, fanned_out
+):
+    test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypatch)
+    assert fanned_out == [3, 3]
 
 
 def test_forward_gradients_through_padding_match_finite_differences(rng):

@@ -126,6 +126,12 @@ def test_first_adam_step_moves_by_minus_lr():
     assert np.all(np.abs(theta.data.astype(np.float64) + config.lr) < 1e-9)
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-5, math.nan, math.inf, -math.inf])
+def test_train_config_rejects_an_lr_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="finite and positive"):
+        TrainConfig(lr=lr)
+
+
 def test_adam_zero_gradient_is_identity():
     start = np.array([0.3, -0.7, 2.0], dtype=np.float32)
     theta = Tensor(start.copy(), requires_grad=True)
