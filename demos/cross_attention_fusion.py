@@ -4,7 +4,7 @@ import numpy as np
 
 from vemoclap.autograd import Tensor
 from vemoclap.container import EmotionLabel, VideoFeatures
-from vemoclap.model import ModelConfig, cross_attention, forward, init_params, param_count
+from vemoclap.model import PAIRINGS, ModelConfig, cross_attention, forward, init_params, param_count
 
 rng = np.random.default_rng(0)
 
@@ -12,7 +12,7 @@ rng = np.random.default_rng(0)
 dims = {"clip": 12, "beats": 10, "expression": 10, "ocr_sentiment": 4, "asr_sentiment": 4}
 config = ModelConfig(input_dims=dims, d=16, heads=4, dropout_p=0.0, n=6)
 params = init_params(config, seed=1)
-print("pairings:", config.pairings)
+print("pairings:", PAIRINGS)
 print("trainable parameters:", param_count(params))
 
 # One attention module fuses a 6-row query sequence with a 9-row key/value

@@ -38,7 +38,6 @@ from .metrics import (
     write_report_json,
 )
 from .model import (
-    DEFAULT_PAIRINGS,
     ModelConfig,
     forward,
     init_params,
@@ -74,28 +73,11 @@ def _logs_to_stderr(level):
         logger.setLevel(previous)
 
 
-def _parse_pairings(text: str) -> tuple[tuple[str, str], ...]:
-    """Parse 'clip:beats,beats:clip,expression:clip' into pairing tuples."""
-    pairs = []
-    for chunk in text.split(","):
-        if ":" not in chunk:
-            raise argparse.ArgumentTypeError(f"pairing {chunk!r} must look like query:keyvalue")
-        q, kv = chunk.split(":", 1)
-        pairs.append((q.strip(), kv.strip()))
-    return tuple(pairs)
-
-
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=16, help="frames/audio chunks per video")
     p.add_argument("--heads", type=int, default=4, help="attention heads")
     p.add_argument("--dim", type=int, default=512, help="common attention dimensionality")
     p.add_argument("--dropout", type=float, default=0.5, help="dropout probability")
-    p.add_argument(
-        "--pairing",
-        type=_parse_pairings,
-        default=DEFAULT_PAIRINGS,
-        help="comma list of query:keyvalue modality pairings",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -209,7 +191,6 @@ def _model_config_from_flags(args, input_dims) -> ModelConfig:
         heads=args.heads,
         dropout_p=args.dropout,
         n=args.n,
-        pairings=args.pairing,
     )
 
 
@@ -222,6 +203,11 @@ def cmd_train(args) -> int:
             manifest, fraction=args.val_fraction, seed=args.seed
         )
         val_videos = val_manifest.load_split("validation")
+        if not val_videos:
+            raise ValueError(
+                f"--val-fraction {args.val_fraction:g} carves no validation videos from the "
+                "train split; raise it or give the manifest a validation split"
+            )
         print(f"carved {len(val_videos)} validation videos from the train split")
     train_videos = train_manifest.load_split("train")
 

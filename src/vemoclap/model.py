@@ -4,10 +4,10 @@ Per-modality intake expects features already sampled to n frames and
 min-max normalized. The forward pass runs a whole batch of videos at
 once. Each sequential modality travels as its videos' real rows stacked
 one after another, with per-video row counts: n rows of clip and beats,
-and k expression rows (one zero row for a faceless video). Each
-configured (query, key/value) pairing of those modalities runs
-multi-head scaled dot-product attention (query projected to width d,
-post-norm residual, dropout on the output projection) over those rows,
+and k expression rows (one zero row for a faceless video). Each of the
+paper's three fixed (query, key/value) `PAIRINGS` runs multi-head
+scaled dot-product attention (query projected to width d, post-norm
+residual, dropout on the output projection) over those rows,
 is mean-pooled over each video's rows into one d-vector per video, and
 the three pooled vectors plus the two sentiment vectors are
 concatenated into one row per video. A linear layer and softmax produce
@@ -60,7 +60,9 @@ from .rng import SplitMix64
 
 log = logging.getLogger(__name__)
 
-DEFAULT_PAIRINGS = (("clip", "beats"), ("beats", "clip"), ("expression", "clip"))
+# The paper's (query, key/value) attention pairings, one per sequential
+# modality as the query; fixed, not a setting.
+PAIRINGS = (("clip", "beats"), ("beats", "clip"), ("expression", "clip"))
 
 # A forward runs its pairings through `autograd.branches`, concurrently in
 # a TRAINING graph, once the largest pairing output, query rows x d, has
@@ -76,23 +78,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters.
-
-    `pairings` lists (query modality, key/value modality) attention
-    modules; each sequential modality must appear exactly once as a query
-    so that pooling yields one vector per sequential modality.
-    """
+    """Architecture hyperparameters."""
 
     input_dims: Mapping[str, int]
     d: int = 512
     heads: int = 4
     dropout_p: float = 0.5
     n: int = 16
-    pairings: tuple[tuple[str, str], ...] = DEFAULT_PAIRINGS
 
     def __post_init__(self):
         object.__setattr__(self, "input_dims", dict(self.input_dims))
-        object.__setattr__(self, "pairings", tuple(tuple(p) for p in self.pairings))
         missing = [m for m in MODALITY_NAMES if m not in self.input_dims]
         if missing:
             raise ConfigError(f"input_dims missing modalities: {missing}")
@@ -109,14 +104,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        queries = [q for q, _ in self.pairings]
-        if sorted(queries) != sorted(SEQUENTIAL_MODALITIES):
-            raise ConfigError(
-                f"pairing queries must be exactly {SEQUENTIAL_MODALITIES} (one each), got {queries}"
-            )
-        for q, kv in self.pairings:
-            if kv not in SEQUENTIAL_MODALITIES:
-                raise ConfigError(f"key/value modality must be sequential, got {kv!r}")
 
     @property
     def sentiment_dim(self) -> int:
@@ -124,7 +111,7 @@ class ModelConfig:
 
     @property
     def head_in_dim(self) -> int:
-        return len(self.pairings) * self.d + 2 * self.sentiment_dim
+        return len(PAIRINGS) * self.d + 2 * self.sentiment_dim
 
     def to_json_obj(self) -> dict:
         return {
@@ -134,22 +121,20 @@ class ModelConfig:
             "dropout_p": self.dropout_p,
             "n": self.n,
             "class_count": CLASS_COUNT,
-            "pairings": [list(p) for p in self.pairings],
+            "pairings": [list(p) for p in PAIRINGS],
         }
 
     @classmethod
     def from_json_obj(cls, obj) -> "ModelConfig":
         """Inverse of `to_json_obj`. A missing or wrongly typed field is a
-        ConfigError (a ValueError) that names the field. "class_count" is
-        not a setting: it records the CLASS_COUNT (6) classes and must
-        equal it."""
+        ConfigError (a ValueError) that names the field. "class_count" and
+        "pairings" are not settings: they record the CLASS_COUNT (6)
+        classes and the PAIRINGS, and must equal them."""
 
         def is_int(v) -> bool:
             return isinstance(v, int) and not isinstance(v, bool)
 
-        def is_pair(p) -> bool:
-            return isinstance(p, list) and len(p) == 2 and all(isinstance(m, str) for m in p)
-
+        pairings = [list(p) for p in PAIRINGS]
         checks = {
             "input_dims": (
                 lambda v: isinstance(v, dict) and all(is_int(x) for x in v.values()),
@@ -160,10 +145,7 @@ class ModelConfig:
             "dropout_p": (lambda v: is_int(v) or isinstance(v, float), "a number"),
             "n": (is_int, "an integer"),
             "class_count": (lambda v: is_int(v) and v == CLASS_COUNT, f"the integer {CLASS_COUNT}"),
-            "pairings": (
-                lambda v: isinstance(v, list) and all(is_pair(p) for p in v),
-                "a list of [query, key/value] name pairs",
-            ),
+            "pairings": (lambda v: v == pairings, f"the list {pairings}"),
         }
         if not isinstance(obj, dict):
             raise ConfigError(f"model config must be a JSON object, got {type(obj).__name__}")
@@ -172,7 +154,7 @@ class ModelConfig:
                 raise ConfigError(f"model config is missing field {name!r}")
             if not check(obj[name]):
                 raise ConfigError(f"model config field {name!r} must be {what}, got {obj[name]!r}")
-        return cls(**{name: obj[name] for name in checks if name != "class_count"})
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
     def digest(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
@@ -216,7 +198,7 @@ def _build(config: ModelConfig, make: Callable[[str, tuple[int, ...]], Tensor]) 
     in `named_tensors` order. The only place that knows their shapes."""
     d = config.d
     pairings = []
-    for i, (q_name, kv_name) in enumerate(config.pairings):
+    for i, (q_name, kv_name) in enumerate(PAIRINGS):
         dq = config.input_dims[q_name]
         dkv = config.input_dims[kv_name]
         shapes = {
@@ -362,7 +344,7 @@ def forward(
     seqs = {name: Tensor(arrays[name], dtype=dtype) for name in SEQUENTIAL_MODALITIES}
 
     def pairing(i: int) -> Tensor:
-        q_name, kv_name = config.pairings[i]
+        q_name, kv_name = PAIRINGS[i]
         attn = cross_attention(
             seqs[q_name],
             seqs[kv_name],
@@ -375,7 +357,7 @@ def forward(
         )
         return ag.mean_pool(attn, lengths=lengths[q_name])
 
-    runs = [functools.partial(pairing, i) for i in range(len(config.pairings))]
+    runs = [functools.partial(pairing, i) for i in range(len(PAIRINGS))]
     # The largest pairing output: clip's B x n query rows x d.
     fan_out = len(videos) * config.n * config.d >= BRANCH_MIN_ELEMENTS
     columns = ag.branches(runs) if fan_out else [run() for run in runs]

@@ -285,33 +285,29 @@ def test_unknown_subcommand_fails(capsys):
         main(["frobnicate"])
 
 
-def test_pairing_flag_parses_and_reaches_config():
-    from vemoclap.cli import _parse_pairings
-
-    parsed = _parse_pairings("expression:beats, beats:clip ,clip:clip")
-    assert parsed == (("expression", "beats"), ("beats", "clip"), ("clip", "clip"))
-    with pytest.raises(Exception):
-        _parse_pairings("justclip")
-
-
-def test_train_with_custom_pairing(synth_dir, tmp_path, capsys):
-    stats_path = tmp_path / "stats.json"
-    run(["stats", "--manifest", str(synth_dir / "manifest.csv"), "--out", str(stats_path)], capsys)
-    ckpt = tmp_path / "model.ckpt"
-    code, out, err = run(
-        [
-            "train", "--manifest", str(synth_dir / "manifest.csv"), "--stats", str(stats_path),
-            "--out", str(ckpt), "--n", "4", "--dim", "8", "--heads", "2", "--dropout", "0.0",
-            "--max-epochs", "1", "--val-fraction", "0.25",
-            "--pairing", "clip:clip,beats:beats,expression:expression",
-        ],
+def test_train_refuses_an_empty_carved_validation_split(tmp_path, capsys):
+    # 4 train videos per class: round(0.10 * 4) carves none.
+    data = tmp_path / "data"
+    code, _, err = run(
+        ["synth", "--out", str(data), "--videos-per-class", "4", "--n", "4", "--dims", SMALL_DIMS],
         capsys,
     )
     assert code == 0, err
-    from vemoclap.model import load_checkpoint
-
-    _, config, _ = load_checkpoint(ckpt)
-    assert config.pairings == (("clip", "clip"), ("beats", "beats"), ("expression", "expression"))
+    stats_path = tmp_path / "stats.json"
+    run(["stats", "--manifest", str(data / "manifest.csv"), "--out", str(stats_path)], capsys)
+    ckpt = tmp_path / "model.ckpt"
+    code, out, err = run(
+        [
+            "train", "--manifest", str(data / "manifest.csv"), "--stats", str(stats_path),
+            "--out", str(ckpt), "--n", "4", "--dim", "8", "--heads", "2", "--max-epochs", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert "--val-fraction" in err
+    assert "trainable parameters" not in out
+    assert not ckpt.exists()
+    assert not (tmp_path / "model.ckpt.history.csv").exists()
 
 
 def test_log_level_shows_training_progress_on_stderr(synth_dir, tmp_path, capsys):

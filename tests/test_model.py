@@ -9,7 +9,7 @@ import vemoclap.autograd as ag
 import vemoclap.model as model
 from vemoclap.autograd import DegenerateInputError, Graph, Mode, ShapeError, Tensor
 from vemoclap.model import (
-    DEFAULT_PAIRINGS,
+    PAIRINGS,
     AttentionParams,
     ConfigError,
     ModelConfig,
@@ -96,26 +96,6 @@ def f64_pairing_params(seed=0, d=4, heads=2, dq=5, dkv=3) -> AttentionParams:
 def test_config_requires_divisible_heads():
     with pytest.raises(ConfigError, match="divisible"):
         ModelConfig(input_dims=tiny_dims(), d=10, heads=4)
-
-
-def test_config_requires_each_sequential_query_once():
-    with pytest.raises(ConfigError, match="queries"):
-        ModelConfig(
-            input_dims=tiny_dims(),
-            d=8,
-            heads=2,
-            pairings=(("clip", "beats"), ("clip", "beats"), ("expression", "clip")),
-        )
-
-
-def test_config_rejects_sentiment_as_key_value():
-    with pytest.raises(ConfigError, match="sequential"):
-        ModelConfig(
-            input_dims=tiny_dims(),
-            d=8,
-            heads=2,
-            pairings=(("clip", "ocr_sentiment"), ("beats", "clip"), ("expression", "clip")),
-        )
 
 
 @pytest.mark.parametrize(
@@ -312,12 +292,6 @@ def test_forward_inference_is_bitwise_deterministic(rng):
     assert a.data.tobytes() == b.data.tobytes()
 
 
-# Pairings that put expression (the only padded modality) on the query
-# side only (the default) and on both sides.
-PAD_PAIRINGS = {
-    "default": DEFAULT_PAIRINGS,
-    "expression_kv": (("clip", "expression"), ("beats", "clip"), ("expression", "beats")),
-}
 BATCH_TOL = {np.float32: 1e-6, np.float64: 1e-10}
 
 
@@ -330,26 +304,21 @@ def mixed_batch(rng, n, count=9):
 
 
 def test_forward_batching_consistency(rng):
-    for pairings in PAD_PAIRINGS.values():
-        for dtype, tol in BATCH_TOL.items():
-            config = ModelConfig(
-                input_dims=tiny_dims(), d=8, heads=2, dropout_p=0.0, n=4, pairings=pairings
-            )
-            params = init_params(config, seed=0, dtype=dtype)
-            videos = mixed_batch(rng, config.n)
-            assert len({vf.k for vf in videos}) == config.n + 1
-            batch_rows = forward(videos, params, config)
-            assert batch_rows.shape == (len(videos), 6)
-            for i, vf in enumerate(videos):
-                single = forward([vf], params, config)
-                assert np.allclose(single.data[0], batch_rows.data[i], rtol=0.0, atol=tol)
+    # Expression queries (the only padded modality) cover k = 0 .. n faces.
+    config = tiny_config()
+    for dtype, tol in BATCH_TOL.items():
+        params = init_params(config, seed=0, dtype=dtype)
+        videos = mixed_batch(rng, config.n)
+        assert len({vf.k for vf in videos}) == config.n + 1
+        batch_rows = forward(videos, params, config)
+        assert batch_rows.shape == (len(videos), 6)
+        for i, vf in enumerate(videos):
+            single = forward([vf], params, config)
+            assert np.allclose(single.data[0], batch_rows.data[i], rtol=0.0, atol=tol)
 
 
 def test_forward_batch_permutation_permutes_rows(rng):
-    config = ModelConfig(
-        input_dims=tiny_dims(), d=8, heads=2, dropout_p=0.0, n=4,
-        pairings=PAD_PAIRINGS["expression_kv"],
-    )
+    config = tiny_config()
     for dtype, tol in BATCH_TOL.items():
         params = init_params(config, seed=3, dtype=dtype)
         videos = mixed_batch(rng, config.n)
@@ -468,7 +437,7 @@ def test_expression_projections_see_only_real_rows(rng):
     with Graph(Mode.TRAINING) as g:
         forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
     rows_into = {id(e.inputs[1]): e.inputs[0].shape[0] for e in tape_entries(g) if e.inputs[1:2]}
-    for (q_name, _), p in zip(config.pairings, params.pairings):
+    for (q_name, _), p in zip(PAIRINGS, params.pairings):
         expect = real_rows if q_name == "expression" else len(videos) * config.n
         assert rows_into[id(p.w_q)] == expect, q_name
         assert rows_into[id(p.w_o)] == expect, q_name
@@ -481,14 +450,13 @@ def test_expression_projections_see_only_real_rows_in_branches(rng, fanned_out):
 
 
 def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypatch):
-    # Expression queries first: its row count, Σ max(k, 1), moves with the
-    # face counts, and its dropout draws must not shift clip -> beats's mask.
-    config = ModelConfig(
-        input_dims=tiny_dims(), d=8, heads=2, dropout_p=0.5, n=4,
-        pairings=(("expression", "clip"), ("clip", "beats"), ("beats", "clip")),
-    )
+    # Expression's query row count, Σ max(k, 1), moves with the face
+    # counts, and its dropout draws must not shift clip -> beats's or
+    # beats -> clip's mask.
+    assert PAIRINGS[:2] == (("clip", "beats"), ("beats", "clip"))
+    config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
-    clip_to_beats = params.pairings[1]
+    outputs = {id(p): [] for p in params.pairings[:2]}
     videos = mixed_batch(rng, config.n, count=6)
     more_faces = list(videos)
     faces = rng.uniform(0.0, 1.0, (config.n, config.input_dims["expression"]))
@@ -499,20 +467,20 @@ def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypa
     )
     assert more_faces[2].k != videos[2].k
 
-    outputs = []
     real = model.cross_attention
 
     def recorded(q_rows, kv_rows, pairing_params, *args, **kwargs):
         out = real(q_rows, kv_rows, pairing_params, *args, **kwargs)
-        if pairing_params is clip_to_beats:
-            outputs.append(out.data.tobytes())
+        if id(pairing_params) in outputs:
+            outputs[id(pairing_params)].append(out.data.tobytes())
         return out
 
     monkeypatch.setattr(model, "cross_attention", recorded)
     for batch in (videos, more_faces):
         with Graph(Mode.TRAINING):
             forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
-    assert len(outputs) == 2 and outputs[0] == outputs[1]
+    for got in outputs.values():
+        assert len(got) == 2 and got[0] == got[1]
 
 
 def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows_in_branches(
@@ -520,31 +488,6 @@ def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows_in_branches(
 ):
     test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypatch)
     assert fanned_out == [3, 3]
-
-
-def test_forward_gradients_through_padding_match_finite_differences(rng):
-    config = ModelConfig(
-        input_dims=tiny_dims(4), d=4, heads=2, dropout_p=0.0, n=3,
-        pairings=PAD_PAIRINGS["expression_kv"],
-    )
-    params = init_params(config, seed=4, dtype=np.float64)
-    videos = [
-        make_video(rng, n_stored=3, k=k, dims=tiny_dims(4), label=i, video_id=f"g{i}")
-        for i, k in enumerate((0, 1, 3))
-    ]
-    labels = [int(vf.label) for vf in videos]
-
-    def loss_fn(_ignored):
-        return cross_entropy(forward(videos, params, config), labels)
-
-    for name, tensor in params.named_tensors():
-        report = ag.grad_check(loss_fn, tensor, eps=1e-4, tol=1e-4)
-        assert report.passed, (name, str(report))
-
-
-def test_forward_gradients_through_padding_match_finite_differences_in_branches(rng, fanned_out):
-    test_forward_gradients_through_padding_match_finite_differences(rng)
-    assert fanned_out and set(fanned_out) == {3}
 
 
 def test_default_pairing_gradients_through_padded_queries_match_finite_differences(rng):
@@ -621,23 +564,16 @@ def test_checkpoint_same_params_same_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# sha256 of init_params + save_checkpoint at fixed seeds: pins the
+# sha256 of init_params + save_checkpoint at a fixed seed: pins the
 # parameters' draw order, names and shapes.
 @pytest.mark.parametrize(
-    "pairings, seed, digest",
-    [
-        (DEFAULT_PAIRINGS, 7, "b8089b7115d16c6aa3c7643afd274c79f4e8d28ca9714d69052361a5bee9ba63"),
-        (
-            (("clip", "expression"), ("beats", "beats"), ("expression", "beats")),
-            11,
-            "3c751ad19ee25b7d5860bf5b5ee231550981ff344af9cb6f07d09bee3e552727",
-        ),
-    ],
-    ids=["default", "custom"],
+    "seed, digest",
+    [(7, "b8089b7115d16c6aa3c7643afd274c79f4e8d28ca9714d69052361a5bee9ba63")],
+    ids=["default"],
 )
-def test_init_checkpoint_bytes_are_pinned(tmp_path, pairings, seed, digest):
+def test_init_checkpoint_bytes_are_pinned(tmp_path, seed, digest):
     dims = {"clip": 5, "beats": 4, "expression": 3, "ocr_sentiment": 2, "asr_sentiment": 2}
-    config = ModelConfig(input_dims=dims, d=8, heads=2, n=4, pairings=pairings)
+    config = ModelConfig(input_dims=dims, d=8, heads=2, n=4)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(config, seed=seed), config, seed=seed, stats_digest="x")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -690,6 +626,8 @@ def test_checkpoint_with_a_repeated_parameter_is_rejected(tmp_path):
         ("input_dims", {**tiny_dims(), "expression": 0}),
         ("class_count", 7),
         ("class_count", 6.0),
+        ("pairings", None),
+        ("pairings", [["clip", "expression"], ["beats", "beats"], ["expression", "beats"]]),
     ],
 )
 def test_checkpoint_header_field_missing_or_mistyped_is_a_value_error(tmp_path, field, value):
@@ -750,26 +688,6 @@ def test_cross_attention_rejects_empty_sequences():
     with pytest.raises(ShapeError, match="nonempty"):
         cross_attention(Tensor(np.zeros((2, 5)), dtype=np.float64),
                         Tensor(np.zeros((0, 3)), dtype=np.float64), p, heads=2)
-
-
-def test_custom_pairing_scheme_runs_and_checkpoints(tmp_path, rng):
-    config = ModelConfig(
-        input_dims=tiny_dims(),
-        d=8,
-        heads=2,
-        dropout_p=0.0,
-        n=4,
-        pairings=(("clip", "expression"), ("beats", "beats"), ("expression", "beats")),
-    )
-    params = init_params(config, seed=2)
-    vf = make_video(rng, n_stored=4, k=2)
-    probs = forward([vf], params, config)
-    assert abs(float(probs.data.sum()) - 1.0) < 1e-6
-
-    path = tmp_path / "custom.ckpt"
-    save_checkpoint(path, params, config, seed=2, stats_digest="d")
-    _, loaded_config, _ = load_checkpoint(path)
-    assert loaded_config.pairings == config.pairings
 
 
 def test_checkpoint_rejects_wrong_parameter_shape(tmp_path):
