@@ -9,7 +9,8 @@ verification can run at full precision.
 
 Sequences have one layout: the rows of B sequences stacked one after
 another as an [N, C] tensor, plus a [B] array of per-sequence row
-counts. `attention` and `mean_pool` take exactly that; only the products
+counts. `mean_pool` and `attention`'s queries take exactly that, and
+`attention`'s keys/values are B equal blocks of rows; only the products
 inside `attention` see a padded [B, heads, t, dh] layout.
 
 Execution model
@@ -387,7 +388,7 @@ def branches(fns: Sequence[Callable[[], Tensor]]) -> list[Tensor]:
     thread, the others on the worker pool (see "Threads" in the module
     docstring). The branches must not write any tensor another branch
     reads, and each fn must draw its randomness from its own stream (see
-    `SplitMix64.split`). The active graph records the call as one entry;
+    `SplitMix64.derive`). The active graph records the call as one entry;
     `len` and `backward` see through it to the branch tapes. An exception
     raised in a branch reaches the caller once every branch has finished.
     With no TRAINING graph active, the fns run one after another on the
@@ -632,28 +633,25 @@ def attention(
     v: Tensor,
     heads: int,
     q_lengths: np.ndarray,
-    kv_lengths: np.ndarray,
     kv_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over row-stacked sequences.
 
-    q is [N_q, d] and k, v are [N_kv, d]: the rows of B sequences stacked
-    row-wise, sequence i holding q_lengths[i] query rows and kv_lengths[i]
-    key/value rows, each row split into `heads` column blocks of width
+    q is [N_q, d]: the rows of B sequences stacked row-wise, sequence i
+    holding q_lengths[i] rows. k and v are [N_kv, d]: B sequences of
+    N_kv / B rows each. Each row splits into `heads` column blocks of width
     dh = d / heads. Per sequence and head the op computes
-    softmax(q k^T / sqrt(dh) + bias) v, with the heads merged back into
-    [N_q, d] rows.
+    softmax(q k^T / sqrt(dh) + bias) v, heads merged back into [N_q, d].
 
-    Only the [B, heads, t, dh] products see a padded layout: the rows are
-    scattered into zero-padded blocks of the longest sequence, padded
-    key/value rows are masked out, and only the real query rows are
-    gathered back, forward and backward. When no sequence is shorter than
-    the longest, the blocks are a plain reshape of the rows.
+    The key/value rows are a plain reshape into [B, heads, t, dh] blocks.
+    The query rows are scattered into zero-padded blocks of the longest
+    query sequence (a reshape too when no sequence is shorter), and only
+    the real ones are gathered back, forward and backward.
 
     `kv_mask`, when given, is an [N_kv] boolean array with True marking
-    attendable key/value rows. Masked and padded rows get a -MASK_BIAS
-    score bias, which underflows to exactly zero weight after the
-    softmax's max-subtraction, so they also get exactly zero gradient.
+    attendable key/value rows. Masked rows get a -MASK_BIAS score bias,
+    which underflows to exactly zero weight after the softmax's
+    max-subtraction, so they also get exactly zero gradient.
     """
     _same_dtype(q, k, v)
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
@@ -664,25 +662,24 @@ def attention(
     if heads < 1 or d % heads:
         raise ShapeError(f"width {d} is not divisible by heads={heads}")
     t_q, q_pad = _layout(q.shape[0], q_lengths, "query")
-    t_kv, kv_pad = _layout(k.shape[0], kv_lengths, "key/value")
     batch = len(q_lengths)
-    if len(kv_lengths) != batch:
-        raise ShapeError(f"need {batch} key/value lengths, got {len(kv_lengths)}")
-    kv_keep = kv_pad
+    t_kv, uneven = divmod(k.shape[0], batch)
+    if uneven or not t_kv:
+        raise ShapeError(f"{k.shape[0]} key/value rows do not split evenly into {batch} nonempty sequences")
+    kv_keep = None
     if kv_mask is not None:
         kv_mask = np.asarray(kv_mask, dtype=bool)
         if kv_mask.shape != (k.shape[0],):
             raise ShapeError(f"kv_mask must have shape ({k.shape[0]},), got {kv_mask.shape}")
-        # Padded rows come out False.
-        kv_keep = _pad(kv_mask[:, None], batch, t_kv, kv_pad, 1)[:, 0, :, 0]
+        kv_keep = kv_mask.reshape(batch, t_kv)
         if not kv_keep.any(axis=1).all():
             raise DegenerateInputError("attention: every key/value row of a sequence is masked")
     dt = q.dtype.type
     scale_c = dt(1.0 / np.sqrt(d // heads))
 
     qh = _pad(q.data, batch, t_q, q_pad, heads)
-    kh = _pad(k.data, batch, t_kv, kv_pad, heads)
-    vh = _pad(v.data, batch, t_kv, kv_pad, heads)
+    kh = _pad(k.data, batch, t_kv, None, heads)
+    vh = _pad(v.data, batch, t_kv, None, heads)
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale_c
     if kv_keep is not None:
         scores += np.where(kv_keep, dt(0.0), dt(-MASK_BIAS))[:, None, None, :]
@@ -698,8 +695,8 @@ def attention(
         g_scores *= scale_c
         return (
             _unpad(np.matmul(g_scores, kh), q_pad) if nq else None,
-            _unpad(np.matmul(g_scores.transpose(0, 1, 3, 2), qh), kv_pad) if nk else None,
-            _unpad(np.matmul(weights.transpose(0, 1, 3, 2), gh), kv_pad) if nv else None,
+            _unpad(np.matmul(g_scores.transpose(0, 1, 3, 2), qh), None) if nk else None,
+            _unpad(np.matmul(weights.transpose(0, 1, 3, 2), gh), None) if nv else None,
         )
 
     return _emit(_unpad(np.matmul(weights, vh), q_pad), (q, k, v), vjp, "attention")

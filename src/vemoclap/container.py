@@ -24,8 +24,9 @@ Feature containers hold six entries in canonical order: a "meta" JSON
 entry carrying video_id and label, then clip, beats, expression,
 ocr_sentiment, asr_sentiment. Model checkpoints reuse the same codec with
 parameter names as entry names and a "config" JSON entry (see
-`vemoclap.model`). Presence value 2 realizes both JSON entries; feature
-arrays only ever use 0/1.
+`vemoclap.model`). Presence value 2 realizes both JSON entries. Feature
+arrays use 1 for clip and beats, 1 for expression exactly when it has
+rows, and 0/1 for sentiment; `read_container` rejects any other flag.
 
 Containers are immutable after write; concurrent readers are safe.
 """
@@ -403,6 +404,10 @@ def read_container(path) -> VideoFeatures:
     meta = entry_json(entries[META_ENTRY])
     if not isinstance(meta, dict) or "video_id" not in meta or "label" not in meta:
         raise SchemaError("meta entry must carry video_id and label")
+    has_faces = int(entries["expression"].dims[:1] not in ((), (0,)))
+    for name, flags in zip(MODALITY_NAMES, ([1], [1], [has_faces], [0, 1], [0, 1])):
+        if entries[name].presence not in flags:
+            raise SchemaError(f"entry {name!r}: presence flag {entries[name].presence}, expected one of {flags}")
     arrays = {name: entry_array(entries[name]) for name in MODALITY_NAMES}
     try:
         label = EmotionLabel.from_name(str(meta["label"]))

@@ -12,8 +12,8 @@ is mean-pooled over each video's rows into one d-vector per video, and
 the three pooled vectors plus the two sentiment vectors are
 concatenated into one row per video. A linear layer and softmax produce
 the [B, 6] class probabilities. `cross_attention` takes that layout and
-no other; only the attention products inside `autograd.attention` pad
-sequences to a common length.
+no other. Only the attention products inside `autograd.attention` pad,
+and only expression queries: every key/value side is n rows per video.
 
 No positional encoding anywhere: temporal pooling discards order, which
 makes key/value-row permutation invariance an exact property of the
@@ -252,14 +252,13 @@ def cross_attention(
     rng: Optional[SplitMix64] = None,
     kv_mask: Optional[np.ndarray] = None,
     q_lengths: Optional[np.ndarray] = None,
-    kv_lengths: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention over a (query, key/value) pair.
 
-    Each side is [N, C] rows of B sequences stacked one after another,
-    with `q_lengths` / `kv_lengths` giving each sequence's row count;
-    without lengths, a side's rows are one sequence. The output is the
-    query's [N_q, d] rows. Handles unequal temporal lengths.
+    Each side is [N, C] rows of B sequences stacked one after another:
+    `q_lengths` gives the query sequences' row counts, and the key/value
+    rows split into B equal blocks. Without `q_lengths`, each side is one
+    sequence. The output is the query's [N_q, d] rows.
 
     Every step runs on the real rows only: one bias-fused matmul per
     projection over the stacked rows, attention, the output projection,
@@ -278,7 +277,6 @@ def cross_attention(
     merged = ag.attention(
         q_proj, k_proj, v_proj, heads,
         q_lengths=[q_rows.shape[0]] if q_lengths is None else q_lengths,
-        kv_lengths=[kv_rows.shape[0]] if kv_lengths is None else kv_lengths,
         kv_mask=kv_mask,
     )
     projected = ag.matmul(merged, params.w_o, params.b_o)
@@ -353,7 +351,6 @@ def forward(
             dropout_p=config.dropout_p,
             rng=rng.derive("pairing", i) if rng is not None else None,
             q_lengths=lengths[q_name],
-            kv_lengths=lengths[kv_name],
         )
         return ag.mean_pool(attn, lengths=lengths[q_name])
 

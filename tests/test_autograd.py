@@ -499,18 +499,18 @@ def _padded_reference(rows, lengths, t, d):
 
 
 def test_attention_lengths_match_padded_and_masked_reference(rng):
-    q_lengths, kv_lengths = np.array([3, 1, 2]), np.array([2, 4, 1])
+    # Query sequences of 3, 1 and 2 rows against key/value sequences of 4
+    # rows each, one of them masked in each sequence.
+    q_lengths = np.array([3, 1, 2])
+    kv_mask = np.array([True, False, True, True, True, True, False, True, False, True, True, True])
     d, heads = 6, 3
     q = rng.standard_normal((int(q_lengths.sum()), d))
-    k = rng.standard_normal((int(kv_lengths.sum()), d))
-    v = rng.standard_normal((int(kv_lengths.sum()), d))
-    out = ag.attention(t64(q), t64(k), t64(v), heads, q_lengths, kv_lengths)
+    k = rng.standard_normal((12, d))
+    v = rng.standard_normal((12, d))
+    out = ag.attention(t64(q), t64(k), t64(v), heads, q_lengths, kv_mask=kv_mask)
     assert out.shape == q.shape
     q_pad, q_valid = _padded_reference(q, q_lengths, 3, d)
-    k_pad, kv_valid = _padded_reference(k, kv_lengths, 4, d)
-    v_pad, _ = _padded_reference(v, kv_lengths, 4, d)
-    ref = ag.attention(t64(q_pad), t64(k_pad), t64(v_pad), heads, [3, 3, 3], [4, 4, 4],
-                       kv_mask=kv_valid.ravel())
+    ref = ag.attention(t64(q_pad), t64(k), t64(v), heads, [3, 3, 3], kv_mask=kv_mask)
     assert np.array_equal(out.data, ref.data[q_valid.ravel()])
 
 
@@ -518,10 +518,10 @@ def test_attention_equal_lengths_are_the_unpadded_layout(rng):
     # Equal lengths need no padding: each sequence's rows come out exactly
     # as when it runs alone.
     q, kv = rng.standard_normal((6, 4)), rng.standard_normal((4, 4))
-    both = ag.attention(t64(q), t64(kv), t64(kv), 2, np.array([3, 3]), np.array([2, 2]))
+    both = ag.attention(t64(q), t64(kv), t64(kv), 2, np.array([3, 3]))
     for i in range(2):
         qi, kvi = t64(q[3 * i:3 * i + 3]), t64(kv[2 * i:2 * i + 2])
-        alone = ag.attention(qi, kvi, kvi, 2, [3], [2])
+        alone = ag.attention(qi, kvi, kvi, 2, [3])
         assert both.data[3 * i:3 * i + 3].tobytes() == alone.data.tobytes()
 
 
@@ -529,10 +529,13 @@ def test_attention_lengths_are_checked():
     q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
     for bad in ([3, 2], [4, 0], [], [[2, 2]]):
         with pytest.raises(ShapeError, match="query lengths"):
-            ag.attention(q, kv, kv, 2, np.array(bad), [3, 3])
-    for bad in ([6], [2, 2]):
-        with pytest.raises(ShapeError, match="key/value lengths"):
-            ag.attention(q, kv, kv, 2, [2, 2], np.array(bad))
+            ag.attention(q, kv, kv, 2, np.array(bad))
+    # The key/value rows are B sequences of equal length: 6 rows do not
+    # make 4 of them, nor do 0 rows make 2.
+    empty = t64(np.ones((0, 4)))
+    for rows, q_lengths in ((kv, [1, 1, 1, 1]), (empty, [2, 2])):
+        with pytest.raises(ShapeError, match="key/value rows do not split evenly"):
+            ag.attention(q, rows, rows, 2, q_lengths)
     with pytest.raises(TypeError):
         ag.attention(q, kv, kv, 2)  # lengths are required
 
@@ -540,45 +543,44 @@ def test_attention_lengths_are_checked():
 def test_attention_rejects_bad_shapes_and_fully_masked_sequences():
     q, kv = t64(np.ones((4, 4))), t64(np.ones((6, 4)))
     with pytest.raises(ShapeError, match="2-D"):
-        ag.attention(t64(np.ones((2, 2, 4))), kv, kv, 2, [2, 2], [3, 3])
+        ag.attention(t64(np.ones((2, 2, 4))), kv, kv, 2, [2, 2])
     with pytest.raises(ShapeError, match="heads"):
-        ag.attention(q, kv, kv, 3, [2, 2], [3, 3])
+        ag.attention(q, kv, kv, 3, [2, 2])
     for bad in ((2, 3), (5,)):
         with pytest.raises(ShapeError, match="kv_mask"):
-            ag.attention(q, kv, kv, 2, [2, 2], [3, 3], kv_mask=np.ones(bad, dtype=bool))
+            ag.attention(q, kv, kv, 2, [2, 2], kv_mask=np.ones(bad, dtype=bool))
     with pytest.raises(DegenerateInputError):
-        ag.attention(q, kv, kv, 2, [2, 2], [3, 3], kv_mask=np.array([True] * 3 + [False] * 3))
-    # Unequal lengths: the second sequence's 4 rows are all masked.
-    with pytest.raises(DegenerateInputError):
-        ag.attention(q, kv, kv, 2, [2, 2], [2, 4], kv_mask=np.array([False, True] + [False] * 4))
+        ag.attention(q, kv, kv, 2, [2, 2], kv_mask=np.array([True] * 3 + [False] * 3))
 
 
-def _attention_alone(q, k, v, heads, q_lengths, kv_lengths, kv_mask):
+def _attention_alone(q, k, v, heads, q_lengths, kv_mask):
     """Reference: attention run one sequence at a time, masked rows removed."""
-    q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+    q_ends = np.cumsum(q_lengths)
+    t_kv = len(k) // len(q_lengths)
     out = []
     for i in range(len(q_lengths)):
         qi = q[q_ends[i] - q_lengths[i]:q_ends[i]]
-        keep = np.arange(kv_ends[i] - kv_lengths[i], kv_ends[i])
+        keep = np.arange(i * t_kv, (i + 1) * t_kv)
         keep = keep[kv_mask[keep]]
-        out.append(ag.attention(t64(qi), t64(k[keep]), t64(v[keep]), heads, [len(qi)], [len(keep)]).data)
+        out.append(ag.attention(t64(qi), t64(k[keep]), t64(v[keep]), heads, [len(qi)]).data)
     return np.concatenate(out)
 
 
 def test_attention_row_mask_with_unequal_lengths_drops_the_masked_rows(rng):
+    # Unequal query lengths; each key/value sequence holds t_kv rows.
     d, heads = 6, 3
     for trial in range(20):
         batch = int(rng.integers(1, 5))
         q_lengths = rng.integers(1, 5, batch)
-        kv_lengths = rng.integers(1, 6, batch)
-        kv_mask = rng.random(int(kv_lengths.sum())) < 0.6
+        t_kv = int(rng.integers(1, 6))
+        kv_mask = rng.random(batch * t_kv) < 0.6
         # Every sequence keeps at least one attendable row.
-        kv_mask[np.cumsum(kv_lengths) - 1 - rng.integers(0, kv_lengths)] = True
+        kv_mask[np.arange(batch) * t_kv + rng.integers(0, t_kv, batch)] = True
         q = rng.standard_normal((int(q_lengths.sum()), d))
-        k = rng.standard_normal((int(kv_lengths.sum()), d))
-        v = rng.standard_normal((int(kv_lengths.sum()), d))
-        out = ag.attention(t64(q), t64(k), t64(v), heads, q_lengths, kv_lengths, kv_mask=kv_mask)
-        ref = _attention_alone(q, k, v, heads, q_lengths, kv_lengths, kv_mask)
+        k = rng.standard_normal((batch * t_kv, d))
+        v = rng.standard_normal((batch * t_kv, d))
+        out = ag.attention(t64(q), t64(k), t64(v), heads, q_lengths, kv_mask=kv_mask)
+        ref = _attention_alone(q, k, v, heads, q_lengths, kv_mask)
         assert np.max(np.abs(out.data - ref)) <= 1e-12, trial
 
 
@@ -988,28 +990,28 @@ _ATT_MASK = np.array([True, False, True, False, True, True])
 
 
 def _attention(q, k, v):
-    return ag.attention(q, k, v, 2, [2, 2], [3, 3], kv_mask=_ATT_MASK)
+    return ag.attention(q, k, v, 2, [2, 2], kv_mask=_ATT_MASK)
 
 
 # The same width and heads over real rows only: 3 sequences holding 1, 3
-# and 2 query rows and 2, 1 and 3 key/value rows.
-_LEN_Q, _LEN_KV = np.array([1, 3, 2]), np.array([2, 1, 3])
+# and 2 query rows and 2 key/value rows each.
+_LEN_Q = np.array([1, 3, 2])
 _LEN_W = _R.standard_normal((6, 4))
 _LEN_QROWS = _R.standard_normal((6, 4))
 _LEN_POOL = np.array([2, 1, 3])
 
 
 def _attention_lengths(q, k, v):
-    return ag.attention(q, k, v, 2, _LEN_Q, _LEN_KV)
+    return ag.attention(q, k, v, 2, _LEN_Q)
 
 
-# Those lengths with one masked key/value row in each sequence that has
-# more than one.
+# Those lengths with one masked key/value row in each of the first two
+# sequences.
 _LEN_KV_MASK = np.array([True, False, True, False, True, True])
 
 
 def _attention_lengths_masked(q, k, v):
-    return ag.attention(q, k, v, 2, _LEN_Q, _LEN_KV, kv_mask=_LEN_KV_MASK)
+    return ag.attention(q, k, v, 2, _LEN_Q, kv_mask=_LEN_KV_MASK)
 
 
 OP_SWEEP = {

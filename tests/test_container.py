@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -153,6 +154,32 @@ def test_unknown_entry_rejected(tmp_path, rng):
     entries[3].frame_indices = tuple(int(i) for i in vf.expression_frame_index)
     write_blocks(path, entries)
     with pytest.raises(SchemaError, match="surprise_extra"):
+        read_container(path)
+
+
+@pytest.mark.parametrize(
+    "name, presence, dims",
+    [
+        ("clip", 0, None),
+        ("beats", 0, None),
+        ("expression", 0, None),  # absent, yet it holds 2 rows
+        ("expression", 1, (0, 8)),  # present, yet it holds none
+        ("ocr_sentiment", 2, (0,)),  # a JSON flag whose empty payload fits its dims
+        ("asr_sentiment", 2, (0,)),
+    ],
+    ids=["clip-absent", "beats-absent", "expression-absent-with-rows",
+         "expression-present-without-rows", "ocr-json", "asr-json"],
+)
+def test_presence_flags_the_writer_never_writes_are_schema_errors(tmp_path, rng, name, presence, dims):
+    path = tmp_path / "v.vmf"
+    write_container(make_video(rng, n_stored=4, k=2), path)
+    entries = read_blocks(path)
+    i = [e.name for e in entries].index(name)
+    entries[i] = dataclasses.replace(entries[i], presence=presence)
+    if dims is not None:
+        entries[i] = dataclasses.replace(entries[i], dims=dims, payload=b"", frame_indices=())
+    write_blocks(path, entries)
+    with pytest.raises(SchemaError, match=f"'{name}': presence flag {presence}"):
         read_container(path)
 
 

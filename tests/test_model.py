@@ -330,24 +330,22 @@ def test_forward_batch_permutation_permutes_rows(rng):
 
 
 def test_padded_rows_get_zero_weight_and_zero_gradient():
-    # Two sequences of 3 and 1 query rows and 3 and 2 key/value rows; the
-    # shorter key/value sequence is padded inside attention, and one row of
-    # each is masked.
+    # Two sequences of 3 and 1 query rows and 3 key/value rows each; the
+    # shorter query sequence is padded inside attention, and one key/value
+    # row of each sequence is masked.
     p = f64_pairing_params(seed=9, d=8, heads=2, dq=5, dkv=3)
     rng = np.random.default_rng(6)
-    q_lengths, kv_lengths = np.array([3, 1]), np.array([3, 2])
-    kv_valid = np.array([True, False, True, True, False])
+    q_lengths = np.array([3, 1])
+    kv_valid = np.array([True, False, True, True, True, False])
     q_data = rng.standard_normal((4, 5))
-    kv_data = rng.standard_normal((5, 3))
+    kv_data = rng.standard_normal((6, 3))
     w = rng.standard_normal((2, 8))
 
     def pooled(q_arr, kv_arr, requires_grad=False):
         q_rows = Tensor(q_arr, requires_grad=requires_grad, dtype=np.float64)
         kv_rows = Tensor(kv_arr, requires_grad=requires_grad, dtype=np.float64)
         with Graph(Mode.TRAINING) as g:
-            attn = cross_attention(
-                q_rows, kv_rows, p, heads=2, kv_mask=kv_valid, q_lengths=q_lengths, kv_lengths=kv_lengths
-            )
+            attn = cross_attention(q_rows, kv_rows, p, heads=2, kv_mask=kv_valid, q_lengths=q_lengths)
             out = ag.mean_pool(attn, q_lengths)
             loss = ag.sum_all(ag.mul(out, Tensor(w, dtype=np.float64)))
         return out, loss, g, q_rows, kv_rows
@@ -374,7 +372,7 @@ def test_padded_key_rows_get_exactly_zero_attention_weight():
     for row in range(4):
         v_data = np.zeros((2 * 4, 4))
         v_data[row::4] = 1.0
-        weights = ag.attention(q, k, Tensor(v_data, dtype=np.float64), 2, [3, 3], [4, 4],
+        weights = ag.attention(q, k, Tensor(v_data, dtype=np.float64), 2, [3, 3],
                                kv_mask=mask.ravel()).data.reshape(2, 3, 4)
         assert np.all(weights[~mask[:, row]] == 0.0)
         assert np.all(weights[mask[:, row]] > 0.0)
@@ -446,6 +444,37 @@ def test_expression_projections_see_only_real_rows(rng):
 
 def test_expression_projections_see_only_real_rows_in_branches(rng, fanned_out):
     test_expression_projections_see_only_real_rows(rng)
+    assert fanned_out == [3]
+
+
+def test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch):
+    # attention reads its key/value rows as B blocks of N_kv / B rows and
+    # cannot tell unequal lengths that happen to divide evenly, so a
+    # pairing with a padded key/value side must fail here.
+    config = tiny_config(dropout=0.5)
+    params = init_params(config, seed=0)
+    videos = mixed_batch(rng, config.n)
+    expression = [max(vf.k, 1) for vf in videos]
+    assert len(set(expression)) > 1
+    seen = []
+    real = ag.attention
+
+    def spied(q, k, v, heads, q_lengths, kv_mask=None):
+        seen.append((k.shape[0], v.shape[0], [int(x) for x in q_lengths]))
+        return real(q, k, v, heads, q_lengths, kv_mask=kv_mask)
+
+    monkeypatch.setattr(ag, "attention", spied)
+    with Graph(Mode.TRAINING):
+        forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
+    rows = len(videos) * config.n
+    assert [(k_rows, v_rows) for k_rows, v_rows, _ in seen] == [(rows, rows)] * len(PAIRINGS)
+    # Only the expression query side has unequal lengths.
+    full = [config.n] * len(videos)
+    assert sorted(q for _, _, q in seen) == sorted([full, full, expression])
+
+
+def test_every_key_value_side_is_b_equal_blocks_of_n_rows_in_branches(rng, monkeypatch, fanned_out):
+    test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch)
     assert fanned_out == [3]
 
 
@@ -674,8 +703,12 @@ def test_cross_attention_takes_rows_only():
     # Without lengths a side's rows are one sequence.
     one = cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=2)
     same = cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
-                           heads=2, q_lengths=[4], kv_lengths=[3])
+                           heads=2, q_lengths=[4])
     assert one.data.tobytes() == same.data.tobytes()
+    # Two query sequences need the key/value rows to split into two.
+    with pytest.raises(ShapeError, match="split evenly"):
+        cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
+                        heads=2, q_lengths=[2, 2])
     with pytest.raises(ShapeError, match="heads"):
         cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=3)
 
