@@ -92,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", help="compute per-channel min/max normalization statistics")
+    p = sub.add_parser(
+        "stats", help="compute per-channel min/max normalization statistics over the train split"
+    )
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="train")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_stats)
 
@@ -178,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_stats(args) -> int:
     manifest = read_manifest(args.manifest)
-    stats = compute_stats(manifest, split=args.split)
+    stats = compute_stats(manifest)
     save_stats(stats, args.out)
-    print(f"stats over split {args.split!r} written to {args.out} (digest {stats.digest()[:12]})")
+    print(f"stats over split 'train' written to {args.out} (digest {stats.digest()[:12]})")
     return 0
 
 

@@ -169,11 +169,8 @@ class VideoFeatures:
             and self.label == other.label
             and self.ocr_present == other.ocr_present
             and self.asr_present == other.asr_present
-            and self.clip.shape == other.clip.shape
             and np.array_equal(self.clip, other.clip)
-            and self.beats.shape == other.beats.shape
             and np.array_equal(self.beats, other.beats)
-            and self.expression.shape == other.expression.shape
             and np.array_equal(self.expression, other.expression)
             and np.array_equal(self.expression_frame_index, other.expression_frame_index)
             and np.array_equal(self.ocr_sentiment, other.ocr_sentiment)

@@ -89,15 +89,6 @@ class DatasetManifest:
                 return candidate
         return candidates[0]
 
-    def validate(self) -> None:
-        seen: set[str] = set()
-        for r in self.rows:
-            if r.video_id in seen:
-                raise ValueError(f"duplicate video_id {r.video_id!r} in manifest")
-            seen.add(r.video_id)
-            if r.split not in VALID_SPLITS:
-                raise ValueError(f"row {r.video_id!r}: unknown split {r.split!r}")
-
     def load_video(self, row: ManifestRow) -> VideoFeatures:
         vf = read_container(self.resolve_path(row))
         if vf.video_id != row.video_id:
@@ -118,6 +109,7 @@ class DatasetManifest:
 def read_manifest(path) -> DatasetManifest:
     path = os.fspath(path)
     rows = []
+    seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -131,10 +123,11 @@ def read_manifest(path) -> DatasetManifest:
             video_id, label, split, fpath = rec
             if split not in VALID_SPLITS:
                 raise ValueError(f"{path}:{lineno}: unknown split {split!r}")
+            if video_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
+            seen.add(video_id)
             rows.append(ManifestRow(video_id, EmotionLabel.from_name(label), split, fpath))
-    manifest = DatasetManifest(rows, base_dir=os.path.dirname(os.path.abspath(path)))
-    manifest.validate()
-    return manifest
+    return DatasetManifest(rows, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:

@@ -285,6 +285,20 @@ def test_unknown_subcommand_fails(capsys):
         main(["frobnicate"])
 
 
+def test_stats_refuses_a_split_other_than_train(synth_dir, tmp_path, capsys):
+    # Normalization statistics come from the train split only: stats over
+    # test videos would leak them into the model.
+    stats_path = tmp_path / "stats.json"
+    argv = [
+        "stats", "--manifest", str(synth_dir / "manifest.csv"), "--split", "test",
+        "--out", str(stats_path),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert not stats_path.exists()
+
+
 def test_train_refuses_an_empty_carved_validation_split(tmp_path, capsys):
     # 4 train videos per class: round(0.10 * 4) carves none.
     data = tmp_path / "data"

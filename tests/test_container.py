@@ -63,6 +63,12 @@ def test_round_trip_randomized_shapes(tmp_path, rng):
         assert read_container(path) == vf
 
 
+def test_videos_differing_only_in_empty_expression_width_are_unequal(rng):
+    vf = make_video(rng, k=0)
+    other = dataclasses.replace(vf, expression=np.zeros((0, vf.expression.shape[1] + 1), np.float32))
+    assert vf != other
+
+
 def test_bad_magic(tmp_path, rng):
     path = tmp_path / "v.vmf"
     write_container(make_video(rng), path)
