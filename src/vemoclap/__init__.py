@@ -8,7 +8,7 @@ core (`vemoclap.autograd`); all randomness flows from an explicit 64-bit
 seed (`vemoclap.rng`), so runs are bit-reproducible.
 """
 
-from .autograd import Graph, Mode, Tensor, grad_check
+from .autograd import Graph, Tensor, grad_check
 from .container import VideoFeatures, read_container, write_container
 from .dataset import (
     DatasetManifest,
@@ -35,7 +35,6 @@ __all__ = [
     "FusionParams",
     "Graph",
     "ModalityStats",
-    "Mode",
     "ModelConfig",
     "SplitMix64",
     "Tensor",

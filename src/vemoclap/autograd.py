@@ -15,12 +15,12 @@ inside `attention` see a padded [B, heads, t, dh] layout.
 
 Execution model
 ---------------
-Ops run eagerly on numpy arrays. When a :class:`Graph` in TRAINING mode is
-active (entered as a context manager), every op whose inputs require
-gradients appends a tape entry; :meth:`Graph.backward` then walks the tape
-in exact reverse execution order and returns the leaves' gradients. With
-no active graph, or in INFERENCE mode, nothing is recorded and no
-gradient is computed.
+Ops run eagerly on numpy arrays. Inside a :class:`Graph` (entered as a
+context manager), every op whose inputs require gradients appends a tape
+entry and dropout fires; :meth:`Graph.backward` then walks the tape in
+exact reverse execution order and returns the leaves' gradients. With no
+graph (inference), nothing is recorded, no gradient is computed and
+dropout is the identity.
 
 Gradient ownership
 ------------------
@@ -41,7 +41,7 @@ checks each gradient before it updates a parameter.
 Threads
 -------
 The active graph is per thread. :func:`branches` runs independent
-sub-computations of a TRAINING graph concurrently, each recorded on its
+sub-computations inside a Graph concurrently, each recorded on its
 own child graph: the first on the calling thread, the others on a pool
 of min(CPUs available to the process - 1, branches - 1) worker threads,
 made on first use (with one CPU, every branch runs on the calling
@@ -94,9 +94,10 @@ class GraphUsageError(RuntimeError):
     """Graph/backward API used outside its contract."""
 
 
+# Kept only because perfbench/tracing.py:81 reads this one-member enum and
+# `Graph.mode`; ROADMAP item 1 deletes both together with that line.
 class Mode(Enum):
     TRAINING = "training"
-    INFERENCE = "inference"
 
 
 def _ensure_finite(arr: np.ndarray, where: str) -> None:
@@ -184,12 +185,13 @@ def active_graph() -> Optional["Graph"]:
 class Graph:
     """Ordered tape of executed ops; context manager activating recording.
 
-    TRAINING mode records every op whose inputs require gradients;
-    INFERENCE mode records nothing (and dropout becomes the identity).
+    While a Graph is active, every op whose inputs require gradients is
+    recorded on it and dropout fires. Inference runs with no graph.
     """
 
-    def __init__(self, mode: Mode = Mode.TRAINING):
-        self.mode = mode
+    mode = Mode.TRAINING
+
+    def __init__(self):
         self._tape: list = []  # _TapeEntry and _BranchEntry, in execution order
         self._outer: Optional[Graph] = None
         self._is_branch = False
@@ -220,8 +222,6 @@ class Graph:
         returns the same gradients. They are not copied (see "Gradient
         ownership" in the module docstring).
         """
-        if self.mode is not Mode.TRAINING:
-            raise GraphUsageError("backward requires a TRAINING-mode graph")
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
@@ -277,18 +277,13 @@ def _walk_branches(entry: _BranchEntry, flowing: dict) -> None:
             _accumulate(flowing, t, g)
 
 
-def _recording() -> Optional[Graph]:
-    g = active_graph()
-    return g if g is not None and g.mode is Mode.TRAINING else None
-
-
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp, name: str) -> Tensor:
     """Wrap an op result, validating finiteness and recording if needed."""
     _ensure_finite(out_data, name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = False
-    graph = _recording()
+    graph = active_graph()
     if graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         graph._tape.append(_TapeEntry(out, tuple(inputs), vjp))
@@ -372,24 +367,24 @@ def _run_in(graph: Graph, fn: Callable[[], Tensor]) -> Tensor:
 
 def branches(fns: Sequence[Callable[[], Tensor]]) -> list[Tensor]:
     """[fn() for fn in fns] for independent sub-computations, run
-    concurrently inside a TRAINING graph.
+    concurrently inside a Graph.
 
-    Each fn runs in its own child TRAINING graph: the first on the calling
+    Each fn runs in its own child Graph: the first on the calling
     thread, the others on the worker pool (see "Threads" in the module
     docstring). The branches must not write any tensor another branch
     reads, and each fn must draw its randomness from its own stream (see
     `SplitMix64.derive`). The active graph records the call as one entry;
     `len` and `backward` see through it to the branch tapes. An exception
     raised in a branch reaches the caller once every branch has finished.
-    With no TRAINING graph active, the fns run one after another on the
+    With no graph (inference), the fns run one after another on the
     calling thread.
     """
-    parent = _recording()
+    parent = active_graph()
     if parent is None:
         return [fn() for fn in fns]
     if parent._is_branch:
         raise GraphUsageError("branches do not nest")
-    graphs = [Graph(Mode.TRAINING) for _ in fns]
+    graphs = [Graph() for _ in fns]
     for graph in graphs:
         graph._is_branch = True
     outs = _run_all([functools.partial(_run_in, g, fn) for g, fn in zip(graphs, fns)])
@@ -557,18 +552,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def dropout(x: Tensor, p: float, rng: Optional[SplitMix64] = None) -> Tensor:
-    """Inverted dropout: active only inside a TRAINING graph, identity otherwise.
+    """Inverted dropout: active only inside a Graph, identity with no graph.
 
     Each element is zeroed independently with probability p and survivors
     are scaled by 1/(1-p), so inference needs no rescaling.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    graph = _recording()
-    if graph is None or p == 0.0:
+    if active_graph() is None or p == 0.0:
         return x
     if rng is None:
-        raise ValueError("dropout with p > 0 in TRAINING mode requires an rng")
+        raise ValueError("dropout with p > 0 inside a Graph requires an rng")
     # rng.random(shape) >= p, decided on the raw draws: random() is
     # (raw >> 11) * 2**-53, and for an integer u, u * 2**-53 >= p exactly
     # when u >= ceil(p * 2**53), i.e. raw >= ceil(p * 2**53) << 11 (which
@@ -871,9 +865,9 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar f against central differences.
 
-    f must be deterministic; this is enforced by running two TRAINING-mode
-    forward passes and demanding bitwise-equal outputs (training-mode
-    dropout fed from an advancing stream fails this check). The relative
+    f must be deterministic; this is enforced by running two forward passes
+    inside a Graph and demanding bitwise-equal outputs (dropout fed from an
+    advancing stream fails this check). The relative
     error per element is max(|g_ad - g_fd| - noise, 0) / max(|g_ad|, |g_fd|, 1e-8),
     where noise = FD_NOISE_ULPS * ulp(loss) / (hi_x - lo_x) is the central
     difference's own rounding: without it, an exactly zero gradient fails
@@ -888,7 +882,7 @@ def grad_check(
     """
 
     def run_forward() -> Tensor:
-        with Graph(Mode.TRAINING):
+        with Graph():
             return f(x)
 
     y1 = run_forward()
@@ -898,14 +892,14 @@ def grad_check(
     if not np.array_equal(y1.data, y2.data):
         raise GraphUsageError(
             "f is not deterministic (two forward passes differ); "
-            "disable training-mode dropout or fix the rng stream"
+            "disable dropout or fix the rng stream"
         )
 
     order = memory_order(x.data)
     prev_requires = x.requires_grad
     x.requires_grad = True
     try:
-        with Graph(Mode.TRAINING) as g:
+        with Graph() as g:
             y = f(x)
         grad = g.backward(y).get(x)
     finally:

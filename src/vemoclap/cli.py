@@ -198,6 +198,14 @@ def _model_config_from_flags(args, input_dims) -> ModelConfig:
 def cmd_train(args) -> int:
     manifest = read_manifest(args.manifest)
     stats = load_stats(args.stats)
+    config = _model_config_from_flags(args, stats.channel_dims())
+    tconf = TrainConfig(
+        batch_size=args.batch_size,
+        lr=args.lr,
+        max_epochs=args.max_epochs,
+        patience=args.patience,
+        seed=args.seed,
+    )
     train_manifest, val_videos = manifest, manifest.load_split("validation")
     if not val_videos:
         train_manifest, val_manifest = carve_validation(
@@ -212,16 +220,8 @@ def cmd_train(args) -> int:
         print(f"carved {len(val_videos)} validation videos from the train split")
     train_videos = train_manifest.load_split("train")
 
-    config = _model_config_from_flags(args, stats.channel_dims())
     params = init_params(config, seed=args.seed)
     print(f"model has {param_count(params)} trainable parameters")
-    tconf = TrainConfig(
-        batch_size=args.batch_size,
-        lr=args.lr,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
     result = train(train_videos, val_videos, params, config, tconf, stats)
     save_checkpoint(args.out, result.params, config, seed=args.seed, stats_digest=stats.digest())
     history_path = args.history or f"{args.out}.history.csv"

@@ -126,7 +126,11 @@ def read_manifest(path) -> DatasetManifest:
             if video_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate video_id {video_id!r}")
             seen.add(video_id)
-            rows.append(ManifestRow(video_id, EmotionLabel.from_name(label), split, fpath))
+            try:
+                emotion = EmotionLabel.from_name(label)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(ManifestRow(video_id, emotion, split, fpath))
     return DatasetManifest(rows, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

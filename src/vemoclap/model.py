@@ -64,8 +64,8 @@ log = logging.getLogger(__name__)
 # modality as the query; fixed, not a setting.
 PAIRINGS = (("clip", "beats"), ("beats", "clip"), ("expression", "clip"))
 
-# A forward runs its pairings through `autograd.branches`, concurrently in
-# a TRAINING graph, once the largest pairing output, query rows x d, has
+# A forward runs its pairings through `autograd.branches`, concurrently
+# inside a Graph, once the largest pairing output, query rows x d, has
 # this many elements;
 # below that the hand-offs between threads cost more than the overlap
 # saves. Fixed, not a setting.
@@ -262,7 +262,7 @@ def cross_attention(
 
     Every step runs on the real rows only: one bias-fused matmul per
     projection over the stacked rows, attention, the output projection,
-    dropout (TRAINING graphs only), the residual onto the projected query,
+    dropout (inside a Graph only), the residual onto the projected query,
     then layer norm. Only the products inside `autograd.attention` see a
     padded layout. `kv_mask` ([N_kv]), when given, marks attendable
     key/value rows with True; masked rows get a -1e9 score bias, which
@@ -332,8 +332,8 @@ def forward(
     batchmates beyond floating-point rounding. Every modality travels as
     its videos' real rows: no projection, dropout or layer norm sees a
     padded row, and each pooled vector averages its own video's rows.
-    Dropout fires only inside a TRAINING graph, in which case `rng` must
-    be supplied; inference-mode calls are deterministic.
+    Dropout fires only inside a Graph, in which case `rng` must be
+    supplied; with no graph (inference), calls are deterministic.
     """
     if len(videos) == 0:
         raise ValueError("forward needs at least one video")

@@ -2,7 +2,7 @@
 
 Per epoch the train set is reshuffled and every video is resampled at
 random frame locations (the data augmentation used at train time); the
-validation pass always uses equidistant sampling in inference mode, i.e.
+validation pass always runs with no graph and equidistant sampling, i.e.
 test-time conditions. Training stops once validation accuracy has not
 improved for `patience` consecutive epochs, and the best-epoch parameters
 are returned.
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Graph, Mode, Tensor
+from .autograd import Graph, Tensor
 from .container import VideoFeatures, atomic_write_bytes
 from .dataset import ModalityStats, normalize_features, sample_indices, select_frames
 from .model import FusionParams, ModelConfig, forward
@@ -208,19 +208,20 @@ def _restore(params: FusionParams, snapshot: dict[str, np.ndarray]) -> None:
 def _predict_batch(
     videos: Sequence[VideoFeatures], params: FusionParams, config: ModelConfig, stats: ModalityStats
 ) -> np.ndarray:
-    """Inference-mode [B, 6] probabilities with equidistant sampling (test conditions)."""
+    """[B, 6] probabilities with equidistant sampling and no graph (test conditions)."""
     prepared = [
         _prepare(vf, sample_indices(vf.n_stored, config.n, mode="equidistant"), stats)
         for vf in videos
     ]
-    with Graph(Mode.INFERENCE):
-        return forward(prepared, params, config).data.copy()
+    return forward(prepared, params, config).data
 
 
 def predict_label(
     vf: VideoFeatures, params: FusionParams, config: ModelConfig, stats: ModalityStats
 ) -> tuple[int, np.ndarray]:
-    """Argmax prediction; ties break toward the lowest label index."""
+    """Argmax prediction; ties break toward the lowest label index.
+
+    Call with no graph active: inside a Graph, dropout would fire."""
     probs = _predict_batch([vf], params, config, stats)[0]
     return int(np.argmax(probs)), probs
 
@@ -244,7 +245,7 @@ def evaluate(
 
     Runs the forward pass EVAL_BATCH videos at a time; each video's
     probabilities match its single-video prediction up to rounding.
-    """
+    Call with no graph active: inside a Graph, dropout would fire."""
     if not videos:
         raise ValueError("evaluate needs at least one video")
     probs = np.concatenate(
@@ -287,7 +288,7 @@ def _train_step(
     instead, they let malloc trim the heap, which the next step faults
     back in (on a 2-vCPU box, a paper-dims epoch made 2.3x the minor
     page faults and ran 8-20% slower)."""
-    with Graph(Mode.TRAINING) as graph:
+    with Graph() as graph:
         probs = forward(batch, params, model_config, rng=dropout_rng)
         loss = cross_entropy(probs, [int(vf.label) for vf in batch])
     grads.clear()

@@ -14,7 +14,6 @@ from vemoclap.autograd import (
     GradCheckReport,
     Graph,
     GraphUsageError,
-    Mode,
     NonFiniteError,
     ShapeError,
     Tensor,
@@ -72,7 +71,7 @@ def test_non_finite_output_of_a_computing_op_raises_at_that_op(op_name, build):
 
 def test_moving_ops_keep_finite_inputs_finite():
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-    with Graph(Mode.TRAINING):
+    with Graph():
         moved = [
             ag.reshape(x, (3, 2)),
             ag.concat_cols([x, x]),
@@ -138,7 +137,7 @@ def test_matmul_gradient_matches_finite_differences(rng):
     def loss():
         return ag.sum_all(ag.matmul(a, b)).data
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.sum_all(ag.matmul(a, b))
     grads = g.backward(out)
 
@@ -178,7 +177,7 @@ def test_matmul_bias_matches_separate_add_bit_for_bit(rng):
     results = []
     for fused in (True, False):
         a, b, bias = (Tensor(v, requires_grad=True) for v in (a_val, b_val, bias_val))
-        with Graph(Mode.TRAINING) as g:
+        with Graph() as g:
             out = ag.matmul(a, b, bias) if fused else ag.add(ag.matmul(a, b), bias)
             loss = ag.sum_all(ag.mul(out, w))
         grads = g.backward(loss)
@@ -201,7 +200,7 @@ def test_matmul_with_output_major_weight_keeps_values_and_layouts(rng, rows):
     w = Tensor(np.asfortranarray(w_val), requires_grad=True)
     bias = Tensor(bias_val, requires_grad=True)
     assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.matmul(a, w, bias)
         loss = ag.sum_all(ag.mul(out, Tensor(g_val)))
     grads = g.backward(loss)
@@ -265,7 +264,7 @@ def test_softmax_gradient(rng):
     def loss():
         return float((ag.softmax(x).data * w).sum())
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.sum_all(ag.mul(ag.softmax(x), t64(w)))
     grads = g.backward(out)
     assert max_rel_err(grads[x], finite_difference(loss, x.data)) < 1e-6
@@ -314,7 +313,7 @@ def test_layer_norm_gradients(rng):
     def loss():
         return float((ag.layer_norm(x, gamma, beta).data * w).sum())
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.sum_all(ag.mul(ag.layer_norm(x, gamma, beta), t64(w)))
     grads = g.backward(out)
 
@@ -330,19 +329,21 @@ def test_layer_norm_gradients(rng):
 def test_dropout_is_identity_outside_training():
     x = Tensor(np.ones((4, 4), dtype=np.float32))
     assert ag.dropout(x, 0.5, SplitMix64(0)) is x
-    with Graph(Mode.INFERENCE):
-        assert ag.dropout(x, 0.5, SplitMix64(0)) is x
+    with Graph():
+        pass
+    assert ag.active_graph() is None
+    assert ag.dropout(x, 0.5, SplitMix64(0)) is x
 
 
 def test_dropout_p_zero_is_identity_in_training():
     x = Tensor(np.ones((4, 4), dtype=np.float32))
-    with Graph(Mode.TRAINING):
+    with Graph():
         assert ag.dropout(x, 0.0) is x
 
 
 def test_dropout_preserves_expectation():
     x = Tensor(np.ones(100_000, dtype=np.float32))
-    with Graph(Mode.TRAINING):
+    with Graph():
         out = ag.dropout(x, 0.5, SplitMix64(123).derive("dropout"))
     assert abs(float(out.data.mean()) - 1.0) < 0.02
     survivors = out.data[out.data != 0.0]
@@ -378,7 +379,7 @@ DROPOUT_PS = (0.1, 0.5, 0.9, float(np.nextafter(1.0, 0.0)))
 @pytest.mark.parametrize("p", DROPOUT_PS)
 def test_dropout_keep_mask_equals_float_draws_against_p(p):
     x = t64(np.ones((64, 33)))
-    with Graph(Mode.TRAINING):
+    with Graph():
         out = ag.dropout(x, p, SplitMix64(77).derive("mask"))
     expected = SplitMix64(77).derive("mask").random(x.shape) >= p
     assert np.array_equal(out.data != 0.0, expected)
@@ -392,14 +393,14 @@ def test_dropout_keep_mask_is_exact_at_the_threshold(p):
     raw = [v for v in (edge - 2049, edge - 2048, edge - 1, edge, edge + 1, edge + 2047, edge + 2048)
            if 0 <= v < 2**64] + [0, 2**64 - 1]
     x = t64(np.ones(len(raw)))
-    with Graph(Mode.TRAINING):
+    with Graph():
         out = ag.dropout(x, p, _RawDraws(raw))
     assert np.array_equal(out.data != 0.0, _RawDraws(raw).random(len(raw)) >= p)
 
 
 def test_dropout_backward_scales_by_saved_mask():
     x = Tensor(np.ones(1000, dtype=np.float32), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.dropout(x, 0.25, SplitMix64(9))
         loss = ag.sum_all(out)
     grads = g.backward(loss)
@@ -435,7 +436,7 @@ def test_mean_pool_gradients(rng):
     def loss():
         return float((ag.mean_pool(x, lengths).data * w).sum())
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.sum_all(ag.mul(ag.mean_pool(x, lengths), t64(w)))
     grads = g.backward(out)
     assert max_rel_err(grads[x], finite_difference(loss, x.data)) < 1e-6
@@ -461,7 +462,7 @@ def test_concat_gradient_is_ones_per_input():
         Tensor(np.arange(3, dtype=np.float32), requires_grad=True),
         Tensor(np.arange(2, dtype=np.float32), requires_grad=True),
     ]
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(ag.concat(xs))
     grads = g.backward(loss)
     for x in xs:
@@ -475,7 +476,7 @@ def test_concat_rejects_empty_list():
 
 def test_slice_and_concat_cols_roundtrip(rng):
     x = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         parts = [ag.slice_cols(x, 0, 2), ag.slice_cols(x, 2, 6)]
         loss = ag.sum_all(ag.concat_cols(parts))
     grads = g.backward(loss)
@@ -606,7 +607,7 @@ def test_attention_row_mask_with_unequal_lengths_drops_the_masked_rows(rng):
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(x)
     grads = g.backward(loss)
     assert np.array_equal(grads[x], np.ones((2, 3), dtype=np.float32))
@@ -614,7 +615,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_elementwise_square():
     x = Tensor(np.array([1.0, -2.0, 3.0], dtype=np.float32), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(ag.mul(x, x))
     grads = g.backward(loss)
     assert np.allclose(grads[x], 2.0 * x.data)
@@ -623,7 +624,7 @@ def test_backward_elementwise_square():
 def test_backward_twice_returns_the_same_gradients(rng):
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(ag.softmax(ag.matmul(x, w)))
     first = g.backward(loss)
     second = g.backward(loss)  # the tape is not consumed
@@ -634,7 +635,7 @@ def test_backward_twice_returns_the_same_gradients(rng):
 
 def test_backward_requires_scalar_loss():
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         y = ag.scale(x, 2.0)
     with pytest.raises(ShapeError):
         g.backward(y)
@@ -644,7 +645,7 @@ def test_backward_gives_gradients_to_leaves_only():
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     twin = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)  # equal data
     const = Tensor(np.ones(3, dtype=np.float32))
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         mid = ag.add(ag.scale(x, 3.0), const)
         loss = ag.sum_all(ag.mul(mid, twin))
     grads = g.backward(loss)
@@ -659,8 +660,9 @@ def test_backward_gives_gradients_to_leaves_only():
 
 def test_inference_graph_records_nothing():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    with Graph(Mode.INFERENCE) as g:
-        out = ag.matmul(x, x)
+    with Graph() as g:
+        pass
+    out = ag.matmul(x, x)
     assert len(g) == 0
     assert not out.requires_grad
 
@@ -670,9 +672,7 @@ def test_inference_forward_is_bitwise_deterministic(rng):
     w = Tensor(rng.standard_normal((4, 4)).astype(np.float32))
     runs = []
     for _ in range(3):
-        with Graph(Mode.INFERENCE):
-            out = ag.softmax(ag.matmul(x, w))
-        runs.append(out.data.tobytes())
+        runs.append(ag.softmax(ag.matmul(x, w)).data.tobytes())
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -683,7 +683,7 @@ def test_linear_graph_matches_transpose_map_oracle(rng):
     x = Tensor(rng.integers(-4, 5, size=(4, 2)).astype(np.float32), requires_grad=True)
     a = Tensor(a_val)
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(ag.matmul(a, x))
     grads = g.backward(loss)
 
@@ -699,7 +699,7 @@ def test_linear_graph_matches_transpose_map_oracle(rng):
 def test_add_of_two_leaves_hands_each_its_own_gradient():
     a = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
     b = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         total = ag.add(a, b)
         loss = ag.sum_all(total)
     grads = g.backward(loss)
@@ -709,7 +709,7 @@ def test_add_of_two_leaves_hands_each_its_own_gradient():
 
 def test_duplicate_input_accumulates_both_paths():
     x = Tensor(np.array([[2.0]], dtype=np.float32), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(ag.matmul(x, x))  # d/dx (x*x) = 2x
     grads = g.backward(loss)
     assert np.allclose(grads[x], [[4.0]])
@@ -736,7 +736,7 @@ def _branch_net(rng, split: bool):
             ag.matmul(ag.add(pre, shared), w), t64(np.ones(2)), t64(np.zeros(2))
         )
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         pre = ag.matmul(x, w_in)
         fns = [functools.partial(branch, pre, w) for w in ws]
         outs = ag.branches(fns) if split else [fn() for fn in fns]
@@ -799,7 +799,7 @@ def test_concurrent_callers_of_branches_each_get_their_one_tape_gradients():
 def test_branch_outputs_get_their_own_gradient_arrays():
     a = t64(np.ones((2, 3)), requires_grad=True)
     b = t64(np.ones((2, 3)), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         outs = ag.branches([lambda: ag.scale(a, 2.0), lambda: ag.scale(b, 3.0)])
         total = ag.add(*outs)  # its vjp hands one array to both branch outputs
         loss = ag.sum_all(total)
@@ -812,7 +812,7 @@ def test_branch_outputs_get_their_own_gradient_arrays():
 def test_branches_returning_leaves_hand_each_its_own_gradient():
     a = t64(np.ones((2, 3)), requires_grad=True)
     b = t64(np.ones((2, 3)), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         outs = ag.branches([lambda: a, lambda: b])
         loss = ag.sum_all(ag.add(*outs))  # its vjp hands one array to both leaves
     grads = g.backward(loss)
@@ -837,7 +837,7 @@ def test_branch_error_reaches_the_caller_after_every_branch_finished():
     def non_finite():
         return ag.log(ag.scale(x, 0.0))  # log(0) = -inf
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         with pytest.raises(NonFiniteError):
             ag.branches([slow(0), non_finite, slow(2, then=ShapeError("later branch"))])
         assert sorted(finished) == [0, 2]
@@ -846,12 +846,17 @@ def test_branch_error_reaches_the_caller_after_every_branch_finished():
 
 def test_branches_run_inline_outside_training_and_do_not_nest():
     x = t64(np.ones(2), requires_grad=True)
-    outs = ag.branches([lambda: ag.scale(x, 2.0), lambda: ag.scale(x, 3.0)])
+    threads = []
+
+    def scaled(factor):
+        threads.append(threading.get_ident())
+        return ag.scale(x, factor)
+
+    outs = ag.branches([lambda: scaled(2.0), lambda: scaled(3.0)])
     assert [o.data.tolist() for o in outs] == [[2.0, 2.0], [3.0, 3.0]]
-    with Graph(Mode.INFERENCE) as g:
-        outs = ag.branches([lambda: ag.scale(x, 2.0), lambda: ag.scale(x, 3.0)])
-    assert len(g) == 0 and not any(o.requires_grad for o in outs)
-    with Graph(Mode.TRAINING), pytest.raises(GraphUsageError, match="nest"):
+    assert threads == [threading.get_ident()] * 2
+    assert not any(o.requires_grad for o in outs)
+    with Graph(), pytest.raises(GraphUsageError, match="nest"):
         ag.branches([lambda: ag.scale(x, 1.0), lambda: ag.branches([lambda: x])[0]])
 
 
@@ -897,7 +902,7 @@ def test_grad_check_perturbs_an_output_major_weight_itself(rng, rows):
     assert report.checked == w.size
 
     w.requires_grad = True
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = f(w)
     grads = g.backward(loss)
     assert np.any(grads[w] != 0.0)
@@ -954,7 +959,7 @@ def test_log_clamp_take_and_reductions(rng):
         picked = np.log(clamped)[np.arange(3), labels]
         return float(picked.sum()) / 3.0
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         out = ag.scale(ag.sum_all(ag.take_per_row(ag.log(ag.clamp_min(x, 1e-12)), labels)), 1 / 3)
     grads = g.backward(out)
     assert max_rel_err(grads[x], finite_difference(loss, x.data)) < 1e-6
@@ -968,7 +973,7 @@ def test_log_of_zero_fails_fast():
 def test_scale_and_add_bias_broadcast(rng):
     x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(3), requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = ag.sum_all(ag.add(ag.scale(x, 2.5), b))
     grads = g.backward(loss)
     assert np.allclose(grads[x], 2.5)
@@ -1107,21 +1112,13 @@ def test_every_op_matches_central_differences(op_name):
     values = np.random.default_rng(zlib.crc32(op_name.encode())).uniform(0.3, 1.5, shape)
     x = Tensor(values, requires_grad=True, dtype=np.float64)
 
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = build(x)
     grads = g.backward(loss)
 
     def rerun():
-        with Graph(Mode.TRAINING):
+        with Graph():
             return float(build(x).data)
 
     fd = finite_difference(rerun, x.data)
     assert max_rel_err(grads[x], fd) < 1e-4, op_name
-
-
-def test_backward_on_inference_graph_is_an_error():
-    x = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-    with Graph(Mode.INFERENCE) as g:
-        out = ag.scale(x, 2.0)
-    with pytest.raises(GraphUsageError):
-        g.backward(out)

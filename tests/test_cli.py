@@ -324,6 +324,30 @@ def test_train_refuses_an_empty_carved_validation_split(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt.history.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--lr", "nan"], "lr must be finite"), (["--dim", "32", "--heads", "3"], "divisible by heads")],
+)
+def test_train_rejects_bad_flags_before_reading_any_container(synth_dir, tmp_path, capsys, flags, message):
+    stats_path = tmp_path / "stats.json"
+    run(["stats", "--manifest", str(synth_dir / "manifest.csv"), "--out", str(stats_path)], capsys)
+    ckpt = tmp_path / "model.ckpt"
+    # --val-fraction 0.25 carves one video per class, so a flag checked
+    # only after the carve would follow a "carved 6 ..." line on stdout.
+    code, out, err = run(
+        [
+            "train", "--manifest", str(synth_dir / "manifest.csv"), "--stats", str(stats_path),
+            "--out", str(ckpt), "--n", "4", "--dim", "8", "--heads", "2", "--max-epochs", "1",
+            "--val-fraction", "0.25", *flags,
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert not ckpt.exists()
+
+
 def test_log_level_shows_training_progress_on_stderr(synth_dir, tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     run(["stats", "--manifest", str(synth_dir / "manifest.csv"), "--out", str(stats_path)], capsys)

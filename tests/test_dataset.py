@@ -426,6 +426,15 @@ def test_manifest_rejects_duplicate_ids(tmp_path):
         read_manifest(path)
 
 
+def test_manifest_names_the_row_of_an_unknown_label(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "video_id,label,split,path\nv1,joy,train,a.vmf\nv2,joyful,train,b.vmf\n", encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=r"m\.csv:3: unknown emotion label 'joyful'"):
+        read_manifest(path)
+
+
 def test_manifest_env_var_path_resolution(tmp_path, rng, monkeypatch):
     data_dir = tmp_path / "data"
     data_dir.mkdir()

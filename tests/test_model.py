@@ -7,7 +7,7 @@ import pytest
 
 import vemoclap.autograd as ag
 import vemoclap.model as model
-from vemoclap.autograd import DegenerateInputError, Graph, Mode, ShapeError, Tensor
+from vemoclap.autograd import DegenerateInputError, Graph, ShapeError, Tensor
 from vemoclap.model import (
     PAIRINGS,
     AttentionParams,
@@ -283,12 +283,11 @@ def test_forward_handles_zero_expression_rows(rng):
 
 
 def test_forward_inference_is_bitwise_deterministic(rng):
-    config = tiny_config(dropout=0.5)  # dropout must not fire outside TRAINING
+    config = tiny_config(dropout=0.5)  # dropout must not fire with no graph
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=1)
-    with Graph(Mode.INFERENCE):
-        a = forward([vf], params, config)
-        b = forward([vf], params, config)
+    a = forward([vf], params, config)
+    b = forward([vf], params, config)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -344,7 +343,7 @@ def test_padded_rows_get_zero_weight_and_zero_gradient():
     def pooled(q_arr, kv_arr, requires_grad=False):
         q_rows = Tensor(q_arr, requires_grad=requires_grad, dtype=np.float64)
         kv_rows = Tensor(kv_arr, requires_grad=requires_grad, dtype=np.float64)
-        with Graph(Mode.TRAINING) as g:
+        with Graph() as g:
             attn = cross_attention(q_rows, kv_rows, p, heads=2, kv_mask=kv_valid, q_lengths=q_lengths)
             out = ag.mean_pool(attn, q_lengths)
             loss = ag.sum_all(ag.mul(out, Tensor(w, dtype=np.float64)))
@@ -384,7 +383,7 @@ def test_tape_size_does_not_grow_with_batch(rng):
     videos = mixed_batch(rng, config.n, count=8)
     sizes = []
     for batch in (videos[:1], videos):
-        with Graph(Mode.TRAINING) as g:
+        with Graph() as g:
             probs = forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
             cross_entropy(probs, [int(vf.label) for vf in batch])
         sizes.append(len(g))
@@ -413,7 +412,7 @@ def test_training_step_in_branches_gives_gradients_to_parameters_only(rng, fanne
     config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
     videos = mixed_batch(rng, config.n, count=8)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         probs = forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
         loss = cross_entropy(probs, [int(vf.label) for vf in videos])
     grads = g.backward(loss)
@@ -432,7 +431,7 @@ def test_expression_projections_see_only_real_rows(rng):
     videos = mixed_batch(rng, config.n, count=8)
     real_rows = sum(max(vf.k, 1) for vf in videos)
     assert real_rows < len(videos) * max(vf.k for vf in videos)  # the batch has padding
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
     rows_into = {id(e.inputs[1]): e.inputs[0].shape[0] for e in tape_entries(g) if e.inputs[1:2]}
     for (q_name, _), p in zip(PAIRINGS, params.pairings):
@@ -464,7 +463,7 @@ def test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch):
         return real(q, k, v, heads, q_lengths, kv_mask=kv_mask)
 
     monkeypatch.setattr(ag, "attention", spied)
-    with Graph(Mode.TRAINING):
+    with Graph():
         forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
     rows = len(videos) * config.n
     assert [(k_rows, v_rows) for k_rows, v_rows, _ in seen] == [(rows, rows)] * len(PAIRINGS)
@@ -506,7 +505,7 @@ def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypa
 
     monkeypatch.setattr(model, "cross_attention", recorded)
     for batch in (videos, more_faces):
-        with Graph(Mode.TRAINING):
+        with Graph():
             forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
     for got in outputs.values():
         assert len(got) == 2 and got[0] == got[1]
@@ -559,7 +558,7 @@ def test_forward_dropout_needs_rng_in_training(rng):
     config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=1)
-    with Graph(Mode.TRAINING):
+    with Graph():
         with pytest.raises(ValueError, match="rng"):
             forward([vf], params, config)
         probs = forward([vf], params, config, rng=SplitMix64(0).derive("drop"))

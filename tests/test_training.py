@@ -7,7 +7,8 @@ import pytest
 
 import vemoclap.autograd as ag
 import vemoclap.model as model
-from vemoclap.autograd import Graph, Mode, Tensor
+import vemoclap.training as training
+from vemoclap.autograd import Graph, Tensor
 from vemoclap.dataset import compute_stats, normalize_features
 from vemoclap.model import forward, init_params
 from vemoclap.training import (
@@ -103,7 +104,7 @@ def test_cross_entropy_rejects_bad_labels():
 def test_cross_entropy_gradient_direction():
     probs_val = np.full((1, 6), 1.0 / 6.0, dtype=np.float64)
     probs = Tensor(probs_val, requires_grad=True)
-    with Graph(Mode.TRAINING) as g:
+    with Graph() as g:
         loss = cross_entropy(probs, [2])
     grads = g.backward(loss)
     # Only the true-label probability receives gradient; pushing it up
@@ -244,7 +245,7 @@ def test_loss_strictly_decreases_on_fixed_batch():
 
     losses = []
     for _ in range(10):
-        with Graph(Mode.TRAINING) as g:
+        with Graph() as g:
             probs = forward(batch, params, config)
             loss = cross_entropy(probs, labels)
         leaf_grads = g.backward(loss)
@@ -397,6 +398,22 @@ def test_evaluate_twice_gives_identical_predictions():
     assert result_a.predicted_labels == result_b.predicted_labels
     assert np.array_equal(result_a.probabilities, result_b.probabilities)
     assert 0.0 <= result_a.accuracy <= 1.0
+
+
+def test_evaluate_and_predict_label_run_forward_with_no_graph(monkeypatch):
+    config, params, train_videos, val_videos, stats = small_training_setup(seed=6)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(ag.active_graph())
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", spy)
+    evaluate(val_videos, params, config, stats)
+    assert seen and all(graph is None for graph in seen)
+    seen.clear()
+    predict_label(val_videos[0], params, config, stats)
+    assert seen == [None]
 
 
 def test_evaluate_all_correct_scores_one():
