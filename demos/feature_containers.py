@@ -16,7 +16,6 @@ from vemoclap.dataset import (
     select_frames,
     write_manifest,
 )
-from vemoclap.dataset import merge_face_features
 from vemoclap.rng import SplitMix64
 
 rng = np.random.default_rng(1)
@@ -36,12 +35,6 @@ video = VideoFeatures(
     asr_sentiment=np.zeros(4, dtype=np.float32),
     asr_present=False,  # no speech in this video; flag travels with the file
 )
-
-# When several faces appear in one frame, the stored expression row is the
-# mean of the two largest (by pixel area):
-faces = [(90.0, rng.standard_normal(5)), (400.0, rng.standard_normal(5)), (250.0, rng.standard_normal(5))]
-merged = merge_face_features(faces)
-print("merged face feature shape:", merged.shape)
 
 path = os.path.join(workdir, "demo_0001.vmf")
 write_container(video, path)

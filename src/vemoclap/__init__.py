@@ -18,7 +18,6 @@ from .dataset import (
     build_app_split,
     carve_validation,
     compute_stats,
-    merge_face_features,
     normalize,
     sample_indices,
     select_frames,
@@ -51,7 +50,6 @@ __all__ = [
     "forward",
     "grad_check",
     "init_params",
-    "merge_face_features",
     "normalize",
     "param_count",
     "read_container",

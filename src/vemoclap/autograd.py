@@ -76,6 +76,8 @@ _SUPPORTED_DTYPES = (np.float32, np.float64)
 # Finite stand-in for -inf in attention masking; exp(-1e9) underflows to
 # exactly 0 after max-subtraction, so masked rows carry zero weight.
 MASK_BIAS = 1.0e9
+# Added to layer_norm's variance before the square root; fixed.
+LAYER_NORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -520,8 +522,9 @@ def softmax(x: Tensor) -> Tensor:
     return _emit(out, (x,), vjp, "softmax")
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per last-axis slice: zero mean, unit variance, then gamma * xhat + beta."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per last-axis slice: zero mean, unit variance (LAYER_NORM_EPS added
+    to the variance), then gamma * xhat + beta."""
     _same_dtype(x, gamma, beta)
     c = x.shape[-1] if x.data.ndim else 0
     if c < 1:
@@ -531,7 +534,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
     var = np.square(xd - mu).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
     xhat = (xd - mu) * inv
     gd = gamma.data
     nx, ng, nb = x.requires_grad, gamma.requires_grad, beta.requires_grad
@@ -725,7 +728,8 @@ def concat(xs: Sequence[Tensor]) -> Tensor:
 
 
 def concat_cols(xs: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along columns (used to merge attention heads)."""
+    """Concatenate 2-D tensors along columns. `model.forward` joins each
+    video's three pooled pairing outputs and two sentiment vectors with it."""
     if len(xs) == 0:
         raise ValueError("concat_cols needs a nonempty list")
     _same_dtype(*xs)
@@ -879,7 +883,22 @@ def grad_check(
     truncation, not a wrong gradient. And float32 storage quantizes the
     loss at ~1e-7 relative, swamping the tolerance entirely: verify
     float64 tensors (see the tiny-config verification suite).
+
+    A ValueError names `eps` when it is not finite and positive or when
+    some x[i] + eps == x[i] - eps in x's dtype, and `tol` when it is not
+    finite and nonnegative.
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    with np.errstate(over="ignore"):  # an eps past x's range moves x to +-inf
+        unmoved = int(np.count_nonzero(x.data + eps == x.data - eps))
+    if unmoved:
+        raise ValueError(
+            f"eps {eps!r} is too small for x: x[i] + eps == x[i] - eps at {unmoved} "
+            f"of {x.size} entries"
+        )
 
     def run_forward() -> Tensor:
         with Graph():

@@ -143,15 +143,6 @@ class VideoFeatures:
     def k(self) -> int:
         return int(self.expression.shape[0])
 
-    def modality_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "clip": self.clip,
-            "beats": self.beats,
-            "expression": self.expression,
-            "ocr_sentiment": self.ocr_sentiment,
-            "asr_sentiment": self.asr_sentiment,
-        }
-
     def channel_dims(self) -> dict[str, int]:
         return {
             "clip": int(self.clip.shape[1]),
@@ -204,8 +195,8 @@ def validate_features(vf: VideoFeatures) -> None:
             raise SchemaError("expression_frame_index must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= n:
             raise SchemaError(f"expression frame index out of range [0, {n})")
-    for name, arr in vf.modality_arrays().items():
-        if not np.all(np.isfinite(arr)):
+    for name in MODALITY_NAMES:
+        if not np.all(np.isfinite(getattr(vf, name))):
             raise SchemaError(f"non-finite value in modality {name!r}")
     if not vf.ocr_present and np.any(vf.ocr_sentiment != 0.0):
         raise SchemaError("ocr_sentiment flagged absent but holds nonzero values")

@@ -162,25 +162,22 @@ def read_blacklist(path) -> list[str]:
 class ModalityStats:
     """Per-modality, per-channel min/max vectors from the training split.
 
-    Treated as read-only once built: `normalize` caches each modality's
-    span on first use.
+    Read-only once built. Construction also fixes what `normalize` needs
+    per modality: the span max - min with constant channels set to 1, and
+    the indices of those constant channels.
     """
 
     minima: dict[str, np.ndarray]
     maxima: dict[str, np.ndarray]
-    _spans: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _spans: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
-    def _span(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """(max - min with constant channels set to 1, constant-channel
-        indices) for one modality, computed once."""
-        if name not in self._spans:
-            span = self.maxima[name] - self.minima[name]
+    def __post_init__(self):
+        self._spans = {}
+        for name, lo in self.minima.items():
+            span = self.maxima[name] - lo
             degenerate = span == 0.0
             safe_span = np.where(degenerate, np.float32(1.0), span)
             self._spans[name] = (safe_span, np.flatnonzero(degenerate))
-        return self._spans[name]
 
     def channel_dims(self) -> dict[str, int]:
         return {name: int(v.shape[0]) for name, v in self.minima.items()}
@@ -319,7 +316,7 @@ def normalize(x: np.ndarray, name: str, stats: ModalityStats) -> np.ndarray:
         raise ValueError(
             f"modality {name!r}: channel dim {x.shape[-1]} does not match stats dim {lo.shape[0]}"
         )
-    safe_span, degenerate = stats._span(name)
+    safe_span, degenerate = stats._spans[name]
     out = x - lo
     out /= safe_span
     if degenerate.size:
@@ -412,23 +409,6 @@ def select_frames(vf: VideoFeatures, indices: Sequence[int]) -> VideoFeatures:
         ocr_present=vf.ocr_present,
         asr_present=vf.asr_present,
     )
-
-
-def merge_face_features(faces: Sequence[tuple[float, np.ndarray]]) -> Optional[np.ndarray]:
-    """Single per-frame expression vector from per-face detections.
-
-    Input is (area, feature) pairs. Empty list gives None; one face gives
-    its feature; two or more give the elementwise mean of the two
-    largest-area faces, ties broken by list order (earlier wins).
-    """
-    if not faces:
-        return None
-    if len(faces) == 1:
-        return np.asarray(faces[0][1], dtype=np.float32).copy()
-    order = sorted(range(len(faces)), key=lambda i: (-float(faces[i][0]), i))
-    a = np.asarray(faces[order[0]][1], dtype=np.float32)
-    b = np.asarray(faces[order[1]][1], dtype=np.float32)
-    return ((a + b) / 2.0).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

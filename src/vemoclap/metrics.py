@@ -36,13 +36,6 @@ class ConfusionMatrix:
         out = self.counts.astype(np.float64) / safe
         return np.where(sums == 0, 0.0, out)
 
-    @property
-    def accuracy(self) -> float:
-        total = int(self.counts.sum())
-        if total == 0:
-            raise ValueError("empty confusion matrix has no accuracy")
-        return float(np.trace(self.counts)) / total
-
     def per_class_recall(self) -> np.ndarray:
         sums = self.counts.sum(axis=1)
         return np.where(sums == 0, 0.0, np.diag(self.counts) / np.where(sums == 0, 1, sums))

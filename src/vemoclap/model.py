@@ -105,14 +105,6 @@ class ModelConfig:
         if self.n < 1:
             raise ConfigError("n must be >= 1")
 
-    @property
-    def sentiment_dim(self) -> int:
-        return self.input_dims["ocr_sentiment"]
-
-    @property
-    def head_in_dim(self) -> int:
-        return len(PAIRINGS) * self.d + 2 * self.sentiment_dim
-
     def to_json_obj(self) -> dict:
         return {
             "input_dims": dict(self.input_dims),
@@ -211,7 +203,9 @@ def _build(config: ModelConfig, make: Callable[[str, tuple[int, ...]], Tensor]) 
         pairings.append(
             AttentionParams(**{f: make(f"pairings.{i}.{f}", shape) for f, shape in shapes.items()})
         )
-    w_head = make("head.weight", (config.head_in_dim, CLASS_COUNT))
+    # The head reads the pooled pairing outputs, then the two sentiment vectors.
+    head_in = len(PAIRINGS) * d + 2 * config.input_dims["ocr_sentiment"]
+    w_head = make("head.weight", (head_in, CLASS_COUNT))
     b_head = make("head.bias", (CLASS_COUNT,))
     return FusionParams(pairings, w_head, b_head)
 

@@ -68,10 +68,6 @@ class SplitMix64:
         self._seed = int(seed) & _MASK64
         self._counter = 0
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def derive(self, *tags) -> "SplitMix64":
         """Child stream keyed by the tag sequence.
 

@@ -31,7 +31,6 @@ DEFAULT_DIMS = {
 @dataclass
 class SynthResult:
     manifest: DatasetManifest
-    class_means: np.ndarray
     oracle_accuracy: float
 
 
@@ -127,8 +126,4 @@ def synth_dataset(
     manifest = DatasetManifest(rows, base_dir=os.fspath(out_dir))
     write_manifest(manifest, os.path.join(out_dir, "manifest.csv"))
     correct = sum(1 for vf in videos if nearest_mean_label(vf, means) == int(vf.label))
-    return SynthResult(
-        manifest=manifest,
-        class_means=means,
-        oracle_accuracy=correct / len(videos),
-    )
+    return SynthResult(manifest=manifest, oracle_accuracy=correct / len(videos))

@@ -167,11 +167,11 @@ def test_split_app_95_5(tmp_path, capsys):
     assert len(split.split_rows("validation")) == 6
 
 
+SMALL_GRADCHECK = ["gradcheck", "--dim", "4", "--heads", "2", "--n", "2", "--feature-dim", "4", "--videos", "1"]
+
+
 def test_gradcheck_command_passes_small_config(capsys):
-    code, out, err = run(
-        ["gradcheck", "--dim", "4", "--heads", "2", "--n", "2", "--feature-dim", "4", "--videos", "1"],
-        capsys,
-    )
+    code, out, err = run(SMALL_GRADCHECK, capsys)
     assert code == 0, err
     assert "PASS" in out
     assert "FAIL" not in out.replace("PASS", "")
@@ -192,11 +192,36 @@ def test_gradcheck_passes_where_zero_gradients_meet_loss_rounding(capsys, seed):
     assert "PASS: 32/32" in out
 
 
+def run_bad_gradcheck(flag, capsys):
+    code, out, err = run(SMALL_GRADCHECK + [flag], capsys)
+    assert code == 1
+    assert out == ""
+    return err
+
+
+# eps = 0 and 1e-30 used to divide by zero, and a negative eps printed FAIL.
+@pytest.mark.parametrize("flag", ["--eps=0", "--eps=-1e-4", "--eps=nan", "--eps=inf"])
+def test_gradcheck_rejects_an_eps_that_is_not_finite_and_positive(capsys, flag):
+    assert "error: eps must be finite and positive" in run_bad_gradcheck(flag, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--tol=-1", "--tol=nan", "--tol=inf"])
+def test_gradcheck_rejects_a_tol_that_is_not_finite_and_nonnegative(capsys, flag):
+    assert "error: tol must be finite and nonnegative" in run_bad_gradcheck(flag, capsys)
+
+
+# The first tensor checked, pairings.0.w_q, holds float64 Glorot draws of
+# order 0.1, where 1e-30 is far below one ulp.
+def test_gradcheck_rejects_an_eps_that_moves_no_entry_of_x(capsys):
+    err = run_bad_gradcheck("--eps=1e-30", capsys)
+    assert "error: eps 1e-30 is too small for x: x[i] + eps == x[i] - eps" in err
+
+
 def test_gradcheck_fails_a_layer_norm_vjp_missing_a_term(capsys, monkeypatch):
-    def layer_norm_missing_term(x, gamma, beta, eps=1e-5):
+    def layer_norm_missing_term(x, gamma, beta):
         xd = x.data
         mu = xd.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(np.square(xd - mu).mean(axis=-1, keepdims=True) + eps)
+        inv = 1.0 / np.sqrt(np.square(xd - mu).mean(axis=-1, keepdims=True) + ag.LAYER_NORM_EPS)
         xhat = (xd - mu) * inv
 
         def vjp(g):
@@ -207,10 +232,7 @@ def test_gradcheck_fails_a_layer_norm_vjp_missing_a_term(capsys, monkeypatch):
         return ag._emit(xhat * gamma.data + beta.data, (x, gamma, beta), vjp, "layer_norm")
 
     monkeypatch.setattr(ag, "layer_norm", layer_norm_missing_term)
-    code, out, _ = run(
-        ["gradcheck", "--dim", "4", "--heads", "2", "--n", "2", "--feature-dim", "4", "--videos", "1"],
-        capsys,
-    )
+    code, out, _ = run(SMALL_GRADCHECK, capsys)
     assert code == 1
     assert "FAIL  pairings.0.w_q" in out
 

@@ -22,7 +22,6 @@ from vemoclap.dataset import (
     select_frames,
     write_manifest,
 )
-from vemoclap.dataset import merge_face_features
 from vemoclap.rng import SplitMix64
 
 from conftest import make_video, tiny_dims
@@ -255,31 +254,6 @@ def test_select_frames_out_of_range(rng):
     vf = make_video(rng, n_stored=4)
     with pytest.raises(ValueError):
         select_frames(vf, [0, 4])
-
-
-# ---------------------------------------------------------------------------
-# merge_face_features
-
-
-def test_merge_no_faces_is_absent():
-    assert merge_face_features([]) is None
-
-
-def test_merge_single_face_passes_through(rng):
-    f = rng.standard_normal(8).astype(np.float32)
-    assert np.array_equal(merge_face_features([(120.0, f)]), f)
-
-
-def test_merge_two_largest_of_three(rng):
-    a, b, c = (rng.standard_normal(4).astype(np.float32) for _ in range(3))
-    out = merge_face_features([(100.0, a), (400.0, b), (50.0, c)])
-    assert np.allclose(out, (b + a) / 2.0)
-
-
-def test_merge_equal_areas_prefers_list_order(rng):
-    a, b, c = (rng.standard_normal(4).astype(np.float32) for _ in range(3))
-    out = merge_face_features([(10.0, a), (10.0, b), (10.0, c)])
-    assert np.allclose(out, (a + b) / 2.0)
 
 
 # ---------------------------------------------------------------------------

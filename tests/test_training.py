@@ -1,6 +1,10 @@
+import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import vemoclap.training as training
 from vemoclap.autograd import Graph, Tensor
 from vemoclap.dataset import compute_stats, normalize_features
 from vemoclap.model import forward, init_params
+from vemoclap.synth import synth_dataset
 from vemoclap.training import (
     ADAM_CHUNK,
     AdamState,
@@ -26,6 +31,8 @@ from vemoclap.training import (
 )
 
 from conftest import make_video, tiny_config, tiny_dims
+
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 class OneTensorParams:
@@ -330,8 +337,7 @@ def _train_and_send(path, conn) -> None:
 def test_training_in_a_forked_child_after_the_pool_ran(tmp_path, fanned_out):
     expected = dropout_training_bytes(tmp_path / "parent.ckpt")
     assert fanned_out
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert (ag._POOL is not None) == (cpus > 1)
+    assert (ag._POOL is not None) == (USABLE_CPUS > 1)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_train_and_send, args=(tmp_path / "child.ckpt", send))
@@ -348,6 +354,82 @@ def test_training_in_a_forked_child_after_the_pool_ran(tmp_path, fanned_out):
             child.kill()
             child.join()
     assert child.exitcode == 0
+
+
+# Width of every feature and of d, frames per video and batch size in the
+# BLAS thread-count test. Its projections are [256, 128] @ [128, 128]
+# products, far past OpenBLAS's 2^18 m*n*k single-thread cutoff; on a
+# 2-vCPU x86 box with OpenBLAS 0.3.31 one took 122-139 us at 1 thread and
+# 56-76 us at 2.
+THREADS_WIDTH, THREADS_N, THREADS_BATCH = 128, 16, 16
+
+# Trains and evaluates from the manifest in argv[1], writes the checkpoint
+# and the probabilities to argv[2] and prints the BLAS's own thread count
+# (None when numpy's BLAS is not an OpenBLAS it can query) and the median
+# time of one projection-sized product as JSON.
+THREADS_CHILD = f"""
+import ctypes, glob, json, os, sys, time
+import numpy as np
+from vemoclap.dataset import compute_stats, read_manifest
+from vemoclap.model import ModelConfig, init_params, save_checkpoint
+from vemoclap.training import TrainConfig, evaluate, train
+
+def blas_threads():
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+    return None
+
+a = np.ones(({THREADS_BATCH * THREADS_N}, {THREADS_WIDTH}), np.float32)
+b = np.ones(({THREADS_WIDTH}, {THREADS_WIDTH}), np.float32, order="F")
+times = []
+for _ in range(200):
+    start = time.perf_counter()
+    a @ b
+    times.append(time.perf_counter() - start)
+
+manifest = read_manifest(os.path.join(sys.argv[1], "manifest.csv"))
+train_videos, test_videos = manifest.load_split("train"), manifest.load_split("test")
+stats = compute_stats(manifest)
+config = ModelConfig(stats.channel_dims(), d={THREADS_WIDTH}, heads=2, dropout_p=0.5, n={THREADS_N})
+tconf = TrainConfig(batch_size={THREADS_BATCH}, lr=1e-3, max_epochs=3, patience=3, seed=5)
+result = train(train_videos, test_videos, init_params(config, seed=3), config, tconf, stats)
+save_checkpoint(os.path.join(sys.argv[2], "model.ckpt"), result.params, config, 5, stats.digest())
+probs = evaluate(test_videos, result.params, config, stats).probabilities
+np.save(os.path.join(sys.argv[2], "probs.npy"), probs)
+print(json.dumps({{"blas_threads": blas_threads(), "product_us": float(np.median(times)) * 1e6}}))
+"""
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="OpenBLAS runs at most one thread per CPU")
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    data = tmp_path / "data"
+    synth_dataset(
+        data, videos_per_class=8, test_videos_per_class=2, seed=12, margin=6.0,
+        n_stored=THREADS_N + 4, dims={name: THREADS_WIDTH for name in tiny_dims()},
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", THREADS_CHILD, str(data), str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["blas_threads"] in (None, threads), report
+        runs[threads] = (report, (out / "model.ckpt").read_bytes(), np.load(out / "probs.npy"))
+    timings = {threads: run[0]["product_us"] for threads, run in runs.items()}
+    assert runs[1][1] == runs[2][1], f"checkpoints differ; product us by thread count: {timings}"
+    assert np.array_equal(runs[1][2], runs[2][2]), f"probabilities differ; product us: {timings}"
 
 
 def test_weight_matrices_stay_output_major_through_init_load_and_training(tmp_path):
