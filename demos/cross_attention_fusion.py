@@ -15,23 +15,29 @@ params = init_params(config, seed=1)
 print("pairings:", PAIRINGS)
 print("trainable parameters:", param_count(params))
 
-# One attention module fuses a 6-row query sequence with a 9-row key/value
-# sequence; the output always has the query's temporal length.
+# cross_attention takes a list of (query rows, key/value rows, params)
+# pairings and returns one output per pairing. Here one attention module
+# fuses a 6-row query sequence with a 9-row key/value sequence; the output
+# always has the query's temporal length.
 q_seq = Tensor(rng.standard_normal((6, 12)).astype(np.float32))
 kv_seq = Tensor(rng.standard_normal((9, 10)).astype(np.float32))
-fused = cross_attention(q_seq, kv_seq, params.pairings[0], heads=config.heads)
+[fused] = cross_attention([(q_seq, kv_seq, params.pairings[0])], heads=config.heads)
 print("attention output shape:", fused.shape)
 
 # No positional encoding anywhere, so shuffling key/value rows changes
-# nothing (queries only see the set of rows):
+# nothing (queries only see the set of rows). Passed alongside the
+# original, the shuffled pairing runs in the same stages:
 perm = rng.permutation(9)
-shuffled = cross_attention(q_seq, Tensor(kv_seq.data[perm]), params.pairings[0], heads=4)
-print("max deviation under kv permutation:", np.abs(shuffled.data - fused.data).max())
+shuffled = Tensor(kv_seq.data[perm])
+both = cross_attention(
+    [(q_seq, kv_seq, params.pairings[0]), (q_seq, shuffled, params.pairings[0])], heads=4
+)
+print("max deviation under kv permutation:", np.abs(both[1].data - both[0].data).max())
 
 # Masked rows get a -1e9 score bias and drop out of the softmax entirely:
 extended = Tensor(np.vstack([kv_seq.data, rng.standard_normal((1, 10)).astype(np.float32)]))
 mask = np.array([True] * 9 + [False])
-masked = cross_attention(q_seq, extended, params.pairings[0], heads=4, kv_mask=mask)
+[masked] = cross_attention([(q_seq, extended, params.pairings[0])], heads=4, kv_masks=[mask])
 print("max deviation after appending a masked row:", np.abs(masked.data - fused.data).max())
 
 # The full forward runs a whole batch at once: three pooled attention

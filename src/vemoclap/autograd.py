@@ -40,17 +40,12 @@ checks each gradient before it updates a parameter.
 
 Threads
 -------
-The active graph is per thread. :func:`branches` runs independent
-sub-computations inside a Graph concurrently, each recorded on its
-own child graph: the first on the calling thread, the others on a pool
-of min(CPUs available to the process - 1, branches - 1) worker threads,
-made on first use (with one CPU, every branch runs on the calling
-thread). :meth:`Graph.backward` walks its own tape and, on reaching a
-`branches` call, walks the branch tapes concurrently in the same way.
-The gradients a branch leaves for tensors from outside it are summed on
-the calling thread, which alone builds the result. Branches do not nest.
-Apart from that, a Graph and its tensors belong to one thread for the
-duration of a forward/backward pass; independent graphs may run on
+The active graph is per thread, and one thread builds and walks a tape.
+Concurrency lives inside ops: :func:`matmuls` runs independent products,
+and its backward their vjps, as two halves on the calling thread and a
+pool of (CPUs - 1) worker threads, made on first use (none with one
+CPU); `training.adam_step` splits its tensors the same way. Workers only
+run numpy work on arrays handed to them. Independent graphs may run on
 separate threads.
 """
 
@@ -60,16 +55,14 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .rng import SplitMix64
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 _SUPPORTED_DTYPES = (np.float32, np.float64)
 
@@ -164,17 +157,12 @@ class Tensor:
 
 @dataclass
 class _TapeEntry:
-    out: Tensor
-    inputs: tuple[Tensor, ...]
-    vjp: Callable[[np.ndarray], tuple[Optional[np.ndarray], ...]]
+    """One recorded op: vjp takes one gradient (or None) per output and
+    returns one per input, which backward adds up in `inputs` order."""
 
-
-@dataclass
-class _BranchEntry:
-    """Tape entry for one `branches` call: each branch's graph and output."""
-
-    graphs: tuple["Graph", ...]
     outs: tuple[Tensor, ...]
+    inputs: tuple[Tensor, ...]
+    vjp: Callable[..., tuple[Optional[np.ndarray], ...]]
 
 
 _ACTIVE = threading.local()
@@ -194,9 +182,8 @@ class Graph:
     mode = Mode.TRAINING
 
     def __init__(self):
-        self._tape: list = []  # _TapeEntry and _BranchEntry, in execution order
+        self._tape: list[_TapeEntry] = []  # in execution order
         self._outer: Optional[Graph] = None
-        self._is_branch = False
 
     def __enter__(self) -> "Graph":
         self._outer = active_graph()
@@ -208,21 +195,18 @@ class Graph:
         self._outer = None
 
     def __len__(self) -> int:
-        """Recorded ops, counting those on branch tapes."""
-        return sum(
-            sum(map(len, e.graphs)) if isinstance(e, _BranchEntry) else 1 for e in self._tape
-        )
+        """Recorded ops, counting each `matmuls` member as a `matmul`."""
+        return sum(out.requires_grad for entry in self._tape for out in entry.outs)
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """d loss / d leaf for every leaf that loss depends on: each
         requires_grad tensor reachable from loss that no op on this tape
         produced. No tensor that an op on this tape produced is a key.
 
-        Walks the tape in exact reverse execution order, and the tapes of a
-        `branches` call concurrently where that call stands on the tape.
-        Changes no tensor and leaves the tape as it was, so a second call
-        returns the same gradients. They are not copied (see "Gradient
-        ownership" in the module docstring).
+        Walks the tape in exact reverse execution order. Changes no tensor
+        and leaves the tape as it was, so a second call returns the same
+        gradients. They are not copied (see "Gradient ownership" in the
+        module docstring).
         """
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -240,55 +224,34 @@ def _accumulate(flowing: dict, t: Tensor, g: np.ndarray) -> None:
     flowing[t] = g if seen is None else seen + g
 
 
-def _walk(tape: list, flowing: dict) -> None:
+def _walk(tape: list[_TapeEntry], flowing: dict) -> None:
     """Reverse-mode pass over `tape`, starting from the gradients in
     `flowing` (keyed by tensor). Leaves in `flowing` the gradients of
     tensors no entry of `tape` produced."""
     for entry in reversed(tape):
-        if isinstance(entry, _BranchEntry):
-            _walk_branches(entry, flowing)
+        g_outs = [flowing.pop(out, None) for out in entry.outs]
+        if all(g is None for g in g_outs):
             continue
-        g_out = flowing.pop(entry.out, None)
-        if g_out is None:
-            continue
-        for t, g_in in zip(entry.inputs, entry.vjp(g_out)):
+        for t, g_in in zip(entry.inputs, entry.vjp(*g_outs)):
             if g_in is not None:
                 _accumulate(flowing, t, g_in)
 
 
-def _walk_branches(entry: _BranchEntry, flowing: dict) -> None:
-    """Backward through one `branches` call: each branch's tape is walked
-    concurrently from its output's gradient, on its own bookkeeping, then
-    what each leaves behind joins `flowing` on this thread, last branch
-    first. A tensor that each branch reaches once therefore gets its
-    gradient summed in the order one tape holding every branch's entries
-    would have used; one a branch reaches twice gets that branch's two
-    parts summed first."""
-    starts = [flowing.pop(out, None) for out in entry.outs]
-
-    def walk(graph: Graph, out: Tensor, g: Optional[np.ndarray]) -> dict:
-        sub_flowing = {}
-        if g is not None:
-            sub_flowing[out] = g
-            _walk(graph._tape, sub_flowing)
-        return sub_flowing
-
-    walks = [functools.partial(walk, *args) for args in zip(entry.graphs, entry.outs, starts)]
-    for sub_flowing in reversed(_run_all(walks)):
-        for t, g in sub_flowing.items():
-            _accumulate(flowing, t, g)
+def _result(out_data: np.ndarray) -> Tensor:
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.requires_grad = False
+    return out
 
 
 def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp, name: str) -> Tensor:
     """Wrap an op result, validating finiteness and recording if needed."""
     _ensure_finite(out_data, name)
-    out = Tensor.__new__(Tensor)
-    out.data = out_data
-    out.requires_grad = False
+    out = _result(out_data)
     graph = active_graph()
     if graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        graph._tape.append(_TapeEntry(out, tuple(inputs), vjp))
+        graph._tape.append(_TapeEntry((out,), tuple(inputs), vjp))
     return out
 
 
@@ -301,7 +264,12 @@ def _same_dtype(*tensors: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# Branches
+# Worker pool
+
+# A group of tasks goes to the worker pool only from this much work in all
+# (multiply-adds for `matmuls`, element passes for `training.adam_step`);
+# below it, the hand-off costs about what it saves. Fixed, not a setting.
+POOL_MIN_WORK = 1 << 22
 
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
@@ -317,24 +285,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _branch_pool() -> Optional[ThreadPoolExecutor]:
-    """The shared worker pool, or None when the process may use one CPU.
-
-    It has CPUs - 1 workers at most, and starts a thread only when a task
-    finds none idle, so a call that hands out b - 1 tasks at a time never
-    runs more than b - 1 of them.
-    """
+def _pool() -> Optional[ThreadPoolExecutor]:
+    """The shared pool of up to CPUs - 1 worker threads, started as tasks
+    find none idle, or None when the process may use one CPU."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
             cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
             if (cpus or 1) < 2:
                 return None
-            # Imported here: a process that never trains, such as a
-            # predict server, does not pay the import's 0.5 MB.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _POOL = ThreadPoolExecutor(cpus - 1, thread_name_prefix="vemoclap-branch")
+            _POOL = ThreadPoolExecutor(cpus - 1, thread_name_prefix="vemoclap-worker")
         return _POOL
 
 
@@ -345,53 +305,33 @@ def _settle(task: Callable):
         return None, exc
 
 
-def _run_all(tasks: Sequence[Callable]) -> list:
-    """Results of `tasks` in order: the first runs on this thread, the
-    others on the pool (or here too, one after another, without one). If any
-    raised, the first such exception in task order is raised again after
-    every task has finished."""
-    pool = _branch_pool() if len(tasks) > 1 else None
-    if pool is None:
-        outcomes = [_settle(task) for task in tasks]
-    else:
-        futures = [pool.submit(_settle, task) for task in tasks[1:]]
-        outcomes = [_settle(tasks[0])] + [f.result() for f in futures]
-    for _, exc in outcomes:
-        if exc is not None:
-            raise exc
-    return [result for result, _ in outcomes]
+def run_halves(tasks: Sequence[Callable], costs: Sequence[int]) -> list:
+    """[task() for task in tasks] for independent tasks that run numpy
+    work only: no op, no graph.
 
-
-def _run_in(graph: Graph, fn: Callable[[], Tensor]) -> Tensor:
-    with graph:
-        return fn()
-
-
-def branches(fns: Sequence[Callable[[], Tensor]]) -> list[Tensor]:
-    """[fn() for fn in fns] for independent sub-computations, run
-    concurrently inside a Graph.
-
-    Each fn runs in its own child Graph: the first on the calling
-    thread, the others on the worker pool (see "Threads" in the module
-    docstring). The branches must not write any tensor another branch
-    reads, and each fn must draw its randomness from its own stream (see
-    `SplitMix64.derive`). The active graph records the call as one entry;
-    `len` and `backward` see through it to the branch tapes. An exception
-    raised in a branch reaches the caller once every branch has finished.
-    With no graph (inference), the fns run one after another on the
-    calling thread.
+    The tasks split into two halves of about equal cost (largest first,
+    each to the lighter half). From POOL_MIN_WORK in total, the pool runs
+    the second half while this thread runs the first. If tasks raised,
+    the first in task order raises again once every task has finished.
     """
-    parent = active_graph()
-    if parent is None:
-        return [fn() for fn in fns]
-    if parent._is_branch:
-        raise GraphUsageError("branches do not nest")
-    graphs = [Graph() for _ in fns]
-    for graph in graphs:
-        graph._is_branch = True
-    outs = _run_all([functools.partial(_run_in, g, fn) for g, fn in zip(graphs, fns)])
-    parent._tape.append(_BranchEntry(tuple(graphs), tuple(outs)))
-    return outs
+    halves: tuple[list[int], list[int]] = ([], [])
+    lead = 0  # the first half's cost minus the second's
+    for i in sorted(range(len(tasks)), key=costs.__getitem__, reverse=True):
+        second = lead > 0
+        halves[second].append(i)
+        lead += -costs[i] if second else costs[i]
+
+    def settle(indices: list[int]) -> list:
+        return [_settle(tasks[i]) for i in indices]
+
+    pool = _pool() if len(tasks) > 1 and sum(costs) >= POOL_MIN_WORK else None
+    there = pool.submit(settle, halves[1]) if pool is not None else None
+    outcomes = dict(zip(halves[0], settle(halves[0])))
+    outcomes.update(zip(halves[1], settle(halves[1]) if there is None else there.result()))
+    for i in range(len(tasks)):
+        if outcomes[i][1] is not None:
+            raise outcomes[i][1]
+    return [outcomes[i][0] for i in range(len(tasks))]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +345,56 @@ def branches(fns: Sequence[Callable[[], Tensor]]) -> list[Tensor]:
 # 12 weights taking turns in cache), with the same bits from 4 rows up.
 # From about 192 rows on, a @ b is as fast or faster. Fixed, not a setting.
 SMALL_PRODUCT_ROWS = 128
+
+
+def _product_task(
+    a: Tensor, b: Tensor, bias: Optional[Tensor], op: str, row_independent: bool = False
+) -> Callable[[], np.ndarray]:
+    """Checks the operands of a @ b + bias and returns a task computing it.
+    An output with SMALL_PRODUCT_ROWS rows or more is allocated now, on
+    the calling thread; the task fills it."""
+    _same_dtype(a, b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"{op} needs 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"{op} inner dimensions differ: {a.shape} @ {b.shape}")
+    if bias is not None:
+        _same_dtype(a, bias)
+        if bias.shape != (b.shape[1],):
+            raise ShapeError(f"{op} bias must have shape ({b.shape[1]},), got {bias.shape}")
+    ad, bd = a.data, b.data
+    small = row_independent or ad.shape[0] < SMALL_PRODUCT_ROWS
+    buffer = None if small else np.empty((ad.shape[0], bd.shape[1]), ad.dtype)
+
+    def task() -> np.ndarray:
+        if row_independent:
+            # b's columns made contiguous, so the k axis of the temporary is
+            # contiguous too and numpy sums it pairwise, not one by one.
+            out = (ad[:, None, :] * np.ascontiguousarray(bd.T)[None, :, :]).sum(axis=-1)
+        elif small:
+            out = np.ascontiguousarray((bd.T @ ad.T).T)
+        else:
+            out = np.matmul(ad, bd, out=buffer)
+        if bias is not None:
+            out += bias.data
+        return out
+
+    return task
+
+
+def _product_vjp(a: Tensor, b: Tensor, bias: Optional[Tensor]):
+    ad, bd = a.data, b.data
+    na, nb = a.requires_grad, b.requires_grad
+    nbias = bias is not None and bias.requires_grad
+
+    def vjp(g):
+        return (
+            g @ bd.T if na else None,
+            (g.T @ ad).T if nb else None,
+            g.sum(axis=0) if nbias else None,
+        )
+
+    return vjp
 
 
 def matmul(
@@ -429,38 +419,47 @@ def matmul(
     besides it. It materializes an [m, n, k] temporary, so it suits
     narrow products such as the classifier head.
     """
-    _same_dtype(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-    na, nb = a.requires_grad, b.requires_grad
-    if row_independent:
-        # b's columns made contiguous, so the k axis of the temporary is
-        # contiguous too and numpy sums it pairwise, not one by one.
-        out = (ad[:, None, :] * np.ascontiguousarray(bd.T)[None, :, :]).sum(axis=-1)
-    elif ad.shape[0] < SMALL_PRODUCT_ROWS:
-        out = np.ascontiguousarray((bd.T @ ad.T).T)
-    else:
-        out = ad @ bd
-    inputs: tuple[Tensor, ...] = (a, b)
-    if bias is not None:
-        _same_dtype(a, bias)
-        if bias.shape != (b.shape[1],):
-            raise ShapeError(f"matmul bias must have shape ({b.shape[1]},), got {bias.shape}")
-        out += bias.data
-        inputs = (a, b, bias)
-    nbias = bias is not None and bias.requires_grad
+    out = _product_task(a, b, bias, "matmul", row_independent)()
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _emit(out, inputs, _product_vjp(a, b, bias), "matmul")
 
-    def vjp(g):
-        return (
-            g @ bd.T if na else None,
-            (g.T @ ad).T if nb else None,
-            g.sum(axis=0) if nbias else None,
-        )
 
-    return _emit(out, inputs, vjp, "matmul")
+def matmuls(products: Sequence[tuple[Tensor, Tensor, Tensor]]) -> list[Tensor]:
+    """[matmul(a, b, bias) for a, b, bias in products] for independent
+    products, run as two halves of about equal cost on this thread and the
+    worker pool (see `run_halves`), forward and backward.
+
+    Each member has its own `matmul`'s values and gradients to the bit.
+    The group is one tape entry, which hands each input its gradients in
+    the order separate `matmul` entries would have. A non-finite member
+    raises NonFiniteError once every member has finished.
+    """
+    tasks = [_product_task(a, b, bias, "matmuls") for a, b, bias in products]
+    costs = [a.shape[0] * a.shape[1] * b.shape[1] for a, b, _ in products]
+
+    def forward(task: Callable[[], np.ndarray]) -> np.ndarray:
+        out = task()
+        _ensure_finite(out, "matmuls")
+        return out
+
+    outs = [_result(out) for out in run_halves([functools.partial(forward, t) for t in tasks], costs)]
+    vjps = [_product_vjp(*member) for member in products]
+
+    def vjp(*g_outs):
+        live = [i for i, g in enumerate(g_outs) if g is not None]
+        parts = run_halves([functools.partial(vjps[i], g_outs[i]) for i in live], [2 * costs[i] for i in live])
+        grads = dict(zip(live, parts))
+        # Members last to first, as separate entries are walked.
+        return tuple(g for i in reversed(range(len(products))) for g in grads.get(i, (None,) * 3))
+
+    needs = [any(t.requires_grad for t in member) for member in products]
+    graph = active_graph()
+    if graph is not None and any(needs):
+        for out, need in zip(outs, needs):
+            out.requires_grad = need
+        inputs = tuple(t for member in reversed(products) for t in member)
+        graph._tape.append(_TapeEntry(tuple(outs), inputs, vjp))
+    return outs
 
 
 def transpose(x: Tensor) -> Tensor:

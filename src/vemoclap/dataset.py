@@ -256,14 +256,15 @@ def compute_stats(
     sentiment vectors count once per video. Sentiment vectors flagged
     absent and empty expression blocks contribute nothing; a modality with
     no occurrences at all gets min = max = 0 (and thus normalizes to the
-    constant-channel value 0.5).
+    constant-channel value 0.5). From a manifest, each container is folded
+    as it is read, so one decoded video is alive at a time.
     """
     if videos is None:
         rows = manifest.split_rows(split)
         if not rows:
             raise ValueError(f"split {split!r} is empty; cannot compute statistics")
-        videos = [manifest.load_video(r) for r in rows]
-    if not videos:
+        videos = map(manifest.load_video, rows)
+    elif not videos:
         raise ValueError("no videos supplied; cannot compute statistics")
 
     minima: dict[str, np.ndarray] = {}
@@ -278,8 +279,9 @@ def compute_stats(
             np.minimum(minima[name], lo, out=minima[name])
             np.maximum(maxima[name], hi, out=maxima[name])
 
-    dims = videos[0].channel_dims()
+    dims = None
     for vf in videos:
+        dims = dims or vf.channel_dims()
         if vf.channel_dims() != dims:
             raise ValueError(
                 f"video {vf.video_id!r} has channel dims {vf.channel_dims()}, expected {dims}"
@@ -292,6 +294,7 @@ def compute_stats(
             fold("ocr_sentiment", vf.ocr_sentiment[None, :])
         if vf.asr_present:
             fold("asr_sentiment", vf.asr_sentiment[None, :])
+        del vf  # before the next container is decoded
 
     for name in MODALITY_NAMES:
         if name not in minima:

@@ -19,12 +19,11 @@ No positional encoding anywhere: temporal pooling discards order, which
 makes key/value-row permutation invariance an exact property of the
 architecture.
 
-The pairings meet only at the concatenation, so a training forward
-whose largest pairing output reaches BRANCH_MIN_ELEMENTS runs them
-concurrently through `autograd.branches`, and backward walks them
-concurrently too. Pairing i draws its dropout mask from its own stream,
-`rng.derive("pairing", i)`, so no pairing's mask depends on another's
-draws and the result is bit-identical inline or concurrent.
+The pairings meet only at the concatenation, so `cross_attention` runs
+them stage by stage, with each stage's projections of all three as one
+`autograd.matmuls` group on two threads, forward and backward. Pairing i
+draws its dropout mask from its own stream, `rng.derive("pairing", i)`,
+so no pairing's mask depends on another's draws or row count.
 
 Parameters are immutable during inference, so any number of threads may
 share them; training owns them exclusively.
@@ -32,7 +31,6 @@ share them; training owns them exclusively.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -63,13 +61,6 @@ log = logging.getLogger(__name__)
 # The paper's (query, key/value) attention pairings, one per sequential
 # modality as the query; fixed, not a setting.
 PAIRINGS = (("clip", "beats"), ("beats", "clip"), ("expression", "clip"))
-
-# A forward runs its pairings through `autograd.branches`, concurrently
-# inside a Graph, once the largest pairing output, query rows x d, has
-# this many elements;
-# below that the hand-offs between threads cost more than the overlap
-# saves. Fixed, not a setting.
-BRANCH_MIN_ELEMENTS = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -238,44 +229,53 @@ def param_count(params: FusionParams) -> int:
 
 
 def cross_attention(
-    q_rows: Tensor,
-    kv_rows: Tensor,
-    params: AttentionParams,
+    pairs: Sequence[tuple[Tensor, Tensor, AttentionParams]],
     heads: int,
     dropout_p: float = 0.0,
-    rng: Optional[SplitMix64] = None,
-    kv_mask: Optional[np.ndarray] = None,
-    q_lengths: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Multi-head scaled dot-product attention over a (query, key/value) pair.
+    rngs: Optional[Sequence[SplitMix64]] = None,
+    kv_masks: Optional[Sequence[Optional[np.ndarray]]] = None,
+    q_lengths: Optional[Sequence[np.ndarray]] = None,
+) -> list[Tensor]:
+    """Multi-head scaled dot-product attention for each (query rows,
+    key/value rows, params) pairing; pairing i's output is its query's
+    [N_q, d] rows.
 
     Each side is [N, C] rows of B sequences stacked one after another:
-    `q_lengths` gives the query sequences' row counts, and the key/value
+    `q_lengths[i]` gives pairing i's query row counts, and its key/value
     rows split into B equal blocks. Without `q_lengths`, each side is one
-    sequence. The output is the query's [N_q, d] rows.
-
-    Every step runs on the real rows only: one bias-fused matmul per
-    projection over the stacked rows, attention, the output projection,
-    dropout (inside a Graph only), the residual onto the projected query,
-    then layer norm. Only the products inside `autograd.attention` see a
-    padded layout. `kv_mask` ([N_kv]), when given, marks attendable
-    key/value rows with True; masked rows get a -1e9 score bias, which
-    underflows to exactly zero weight after the softmax's max-subtraction.
+    sequence. Stage by stage over all pairings, on the real rows only:
+    the q/k/v projections as one `autograd.matmuls` group, attention, the
+    output projections as a second group, then dropout (inside a Graph
+    only, from `rngs[i]`), the residual onto the projected query and layer
+    norm. `kv_masks[i]` ([N_kv]), when given, marks attendable key/value
+    rows with True; masked rows get a -1e9 score bias, which underflows to
+    exactly zero weight after the softmax's max-subtraction.
     """
-    shapes = (q_rows.shape, kv_rows.shape)
-    if any(len(shape) != 2 or shape[0] < 1 for shape in shapes):
-        raise ag.ShapeError(f"cross_attention needs nonempty [N, C] rows, got {shapes}")
-    q_proj = ag.matmul(q_rows, params.w_q, params.b_q)
-    k_proj = ag.matmul(kv_rows, params.w_k, params.b_k)
-    v_proj = ag.matmul(kv_rows, params.w_v, params.b_v)
-    merged = ag.attention(
-        q_proj, k_proj, v_proj, heads,
-        q_lengths=[q_rows.shape[0]] if q_lengths is None else q_lengths,
-        kv_mask=kv_mask,
-    )
-    projected = ag.matmul(merged, params.w_o, params.b_o)
-    projected = ag.dropout(projected, dropout_p, rng)
-    return ag.layer_norm(ag.add(projected, q_proj), params.gamma, params.beta)
+    for q_rows, kv_rows, _ in pairs:
+        shapes = (q_rows.shape, kv_rows.shape)
+        if any(len(shape) != 2 or shape[0] < 1 for shape in shapes):
+            raise ag.ShapeError(f"cross_attention needs nonempty [N, C] rows, got {shapes}")
+    params = [p for _, _, p in pairs]
+    proj = ag.matmuls([
+        member
+        for q_rows, kv_rows, p in pairs
+        for member in ((q_rows, p.w_q, p.b_q), (kv_rows, p.w_k, p.b_k), (kv_rows, p.w_v, p.b_v))
+    ])
+    q_proj, k_proj, v_proj = proj[0::3], proj[1::3], proj[2::3]
+    del proj
+    # Each k/v projection, merged output and output projection is let go
+    # once read: with no graph to hold them, only q projections outlive
+    # their stage.
+    lengths = q_lengths or [[q_rows.shape[0]] for q_rows, _, _ in pairs]
+    masks = kv_masks or [None] * len(pairs)
+    projected = ag.matmuls([
+        (ag.attention(q, k_proj.pop(0), v_proj.pop(0), heads, lengths[i], masks[i]), p.w_o, p.b_o)
+        for i, (q, p) in enumerate(zip(q_proj, params))
+    ])
+    return [
+        ag.layer_norm(ag.add(ag.dropout(projected.pop(0), dropout_p, rng), q), p.gamma, p.beta)
+        for q, rng, p in zip(q_proj, rngs or [None] * len(pairs), params)
+    ]
 
 
 def _batch_arrays(
@@ -333,25 +333,17 @@ def forward(
         raise ValueError("forward needs at least one video")
     dtype = params.w_head.data.dtype
     arrays, lengths = _batch_arrays(videos, config)
-    seqs = {name: Tensor(arrays[name], dtype=dtype) for name in SEQUENTIAL_MODALITIES}
+    # The stacked arrays are fresh, so each tensor adopts its array.
+    seqs = {name: Tensor(arrays.pop(name), dtype=dtype, copy=False) for name in SEQUENTIAL_MODALITIES}
 
-    def pairing(i: int) -> Tensor:
-        q_name, kv_name = PAIRINGS[i]
-        attn = cross_attention(
-            seqs[q_name],
-            seqs[kv_name],
-            params.pairings[i],
-            heads=config.heads,
-            dropout_p=config.dropout_p,
-            rng=rng.derive("pairing", i) if rng is not None else None,
-            q_lengths=lengths[q_name],
-        )
-        return ag.mean_pool(attn, lengths=lengths[q_name])
-
-    runs = [functools.partial(pairing, i) for i in range(len(PAIRINGS))]
-    # The largest pairing output: clip's B x n query rows x d.
-    fan_out = len(videos) * config.n * config.d >= BRANCH_MIN_ELEMENTS
-    columns = ag.branches(runs) if fan_out else [run() for run in runs]
+    attended = cross_attention(
+        [(seqs[q], seqs[kv], p) for (q, kv), p in zip(PAIRINGS, params.pairings)],
+        heads=config.heads,
+        dropout_p=config.dropout_p,
+        rngs=None if rng is None else [rng.derive("pairing", i) for i in range(len(PAIRINGS))],
+        q_lengths=[lengths[q] for q, _ in PAIRINGS],
+    )
+    columns = [ag.mean_pool(rows, lengths[q]) for rows, (q, _) in zip(attended, PAIRINGS)]
     for name in ("ocr_sentiment", "asr_sentiment"):
         columns.append(Tensor(arrays[name], dtype=dtype))
 

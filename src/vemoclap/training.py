@@ -14,6 +14,7 @@ seed and data reproduces the history and checkpoint bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -115,31 +116,35 @@ def adam_step(
     the same to the bit. Each tensor and its moments are flattened in the
     tensor's own memory order (output-major weights in Fortran order); a
     gradient of another layout is read in that order too, through a copy.
+    Two halves of the tensors, of about equal size, update on two threads
+    (`autograd.run_halves`); a non-finite gradient raises
+    TrainingDivergedError once both have finished.
     """
     b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     corr1 = 1.0 - b1**t
     corr2 = 1.0 - b2**t
-    scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+    updates = []
     for name, tensor in params.named_tensors():
         g = grads.get(name)
         if g is None:
             continue
         if g.shape != tensor.data.shape:
             raise ag.ShapeError(f"gradient for {name!r} has shape {g.shape}, expected {tensor.shape}")
+        updates.append((name, tensor.data, g))
+
+    def update(name: str, p_data: np.ndarray, g: np.ndarray) -> None:
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient in {name!r} at step {t}")
-        dtype = tensor.data.dtype
-        if dtype not in scratch:
-            scratch[dtype] = (np.empty(ADAM_CHUNK, dtype), np.empty(ADAM_CHUNK, dtype))
-        buf1, buf2 = scratch[dtype]
+        dtype = p_data.dtype
+        buf1, buf2 = np.empty(min(ADAM_CHUNK, g.size), dtype), np.empty(min(ADAM_CHUNK, g.size), dtype)
         b1_, one_b1, b2_, one_b2, c1, c2, eps, lr = (
             dtype.type(c)
             for c in (b1, 1.0 - b1, b2, 1.0 - b2, corr1, corr2, ADAM_EPS, config.lr)
         )
-        order = ag.memory_order(tensor.data)
-        p_flat = np.reshape(tensor.data, -1, order=order, copy=False)
+        order = ag.memory_order(p_data)
+        p_flat = np.reshape(p_data, -1, order=order, copy=False)
         m_flat = np.reshape(state.m[name], -1, order=order, copy=False)
         v_flat = np.reshape(state.v[name], -1, order=order, copy=False)
         g_flat = np.reshape(g, -1, order=order)
@@ -161,6 +166,9 @@ def adam_step(
             np.multiply(t2, lr, out=t2)
             np.divide(t2, t1, out=t2)
             np.subtract(p, t2, out=p)
+
+    tasks = [functools.partial(update, *item) for item in updates]
+    ag.run_halves(tasks, [16 * g.size for _, _, g in updates])  # 16 passes per element
 
 
 @dataclass
@@ -280,14 +288,11 @@ def _train_step(
 
     The step's graph, with every activation it recorded, is freed on
     return, before the next step or the validation pass allocates.
-    Branches that ran on a worker thread allocated part of it from that
-    thread's malloc arena, which the calling thread cannot reuse; held
-    on past the step, it raised peak memory by 5-13%. `grads` holds the
-    previous step's gradients until it is cleared just before backward,
-    so backward's peak holds one set, not two. Freed with the graph
-    instead, they let malloc trim the heap, which the next step faults
-    back in (on a 2-vCPU box, a paper-dims epoch made 2.3x the minor
-    page faults and ran 8-20% slower)."""
+    `grads` holds the previous step's gradients until it is cleared just
+    before backward, so backward's peak holds one set, not two. Freed
+    with the graph instead, they let malloc give their pages back, which
+    the next step faults in again: on a 2-vCPU box, a paper-dims epoch
+    then made 4-6x the minor page faults and ran 17-24% slower."""
     with Graph() as graph:
         probs = forward(batch, params, model_config, rng=dropout_rng)
         loss = cross_entropy(probs, [int(vf.label) for vf in batch])

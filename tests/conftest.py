@@ -1,8 +1,11 @@
+import os
+import threading
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 import vemoclap.autograd as ag
-import vemoclap.model as model
 from vemoclap.container import MODALITY_NAMES, EmotionLabel, VideoFeatures
 from vemoclap.model import ModelConfig, init_params
 
@@ -79,18 +82,50 @@ def tiny_params():
     return config, init_params(config, seed=11, dtype=np.float64)
 
 
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@dataclass
+class PoolUse:
+    """The name of the thread each task ran on, and whether the process
+    looked as if it may use one CPU."""
+
+    threads: list = field(default_factory=list)
+    one_cpu: bool = False
+
+    def as_expected(self) -> bool:
+        """Some task ran on a worker thread exactly when there is a pool."""
+        on_worker = any(name.startswith("vemoclap-worker") for name in self.threads)
+        return bool(self.threads) and on_worker == (not self.one_cpu and USABLE_CPUS > 1)
+
+
 @pytest.fixture
-def fanned_out(monkeypatch):
-    """Training forwards run their pairings through `autograd.branches`
-    whatever their size (the size floor is 0). The value lists the branch
-    count of every `branches` call made while the fixture is active."""
-    calls = []
-    real = ag.branches
+def pooled(monkeypatch):
+    """Every group of two or more independent tasks (`autograd.run_halves`)
+    is split between the calling thread and the worker pool, whatever its
+    size (POOL_MIN_WORK is 0). The value records where the tasks ran.
+    `test_training_in_branches_is_bit_identical_to_inline` keeps an older
+    name: each group's two halves are branches of work, one on the calling
+    thread and one on the pool."""
+    use = PoolUse()
+    real = ag._settle
 
-    def counted(fns):
-        calls.append(len(fns))
-        return real(fns)
+    def recorded(task):
+        use.threads.append(threading.current_thread().name)
+        return real(task)
 
-    monkeypatch.setattr(model, "BRANCH_MIN_ELEMENTS", 0)
-    monkeypatch.setattr(ag, "branches", counted)
-    return calls
+    monkeypatch.setattr(ag, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(ag, "_settle", recorded)
+    return use
+
+
+@pytest.fixture(params=["pool", "one_cpu"])
+def pool_or_one_cpu(request, pooled, monkeypatch):
+    """`pooled`, and then again in a process that looks as if it may use
+    one CPU, where there is no worker pool and every task runs on the
+    calling thread."""
+    if request.param == "one_cpu":
+        monkeypatch.setattr(ag, "_POOL", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        pooled.one_cpu = True
+    return pooled

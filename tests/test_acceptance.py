@@ -105,21 +105,21 @@ def test_criterion_4_attention_invariants():
         q_seq = data_rng.standard_normal((t_q, 8))
         kv_seq = data_rng.standard_normal((t_kv, 8))
 
-        base = cross_attention(
-            Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), params, heads=4
-        )
+        def attend(kv, kv_mask=None):
+            return cross_attention(
+                [(Tensor(q_seq, dtype=np.float64), Tensor(kv, dtype=np.float64), params)],
+                heads=4,
+                kv_masks=None if kv_mask is None else [kv_mask],
+            )[0]
+
+        base = attend(kv_seq)
         perm = data_rng.permutation(t_kv)
-        permuted = cross_attention(
-            Tensor(q_seq, dtype=np.float64), Tensor(kv_seq[perm], dtype=np.float64), params, heads=4
-        )
+        permuted = attend(kv_seq[perm])
         worst_perm = max(worst_perm, float(np.max(np.abs(permuted.data - base.data))))
 
         extended = np.vstack([kv_seq, data_rng.standard_normal((1, 8))])
         mask = np.append(np.ones(t_kv, dtype=bool), False)
-        masked = cross_attention(
-            Tensor(q_seq, dtype=np.float64), Tensor(extended, dtype=np.float64), params,
-            heads=4, kv_mask=mask,
-        )
+        masked = attend(extended, mask)
         worst_mask = max(worst_mask, float(np.max(np.abs(masked.data - base.data))))
     report(
         4,

@@ -1,4 +1,3 @@
-import functools
 import math
 import sys
 import threading
@@ -713,71 +712,130 @@ def test_duplicate_input_accumulates_both_paths():
 
 
 # ---------------------------------------------------------------------------
-# branches
+# matmuls
 
 
-def _branch_net(rng, split: bool):
-    """Scalar loss over ops before, inside and after a three-way split, the
-    tensors to compare and backward's gradients. `pre` feeds every branch,
-    the leaf `shared` is read once by each branch and once more after
-    them, and each branch has its own weight. `split` runs the branches through `ag.branches`;
-    otherwise they run one after another on the one tape."""
-    x = t64(rng.standard_normal((4, 3)))
-    w_in = t64(rng.standard_normal((3, 3)), requires_grad=True)
-    shared = t64(rng.standard_normal((4, 3)), requires_grad=True)
-    ws = [t64(rng.standard_normal((3, 2)), requires_grad=True) for _ in range(3)]
-    w_out = t64(rng.standard_normal((9, 1)))
+def f32(rng, shape, order="C"):
+    data = np.asarray(rng.standard_normal(shape), dtype=np.float32, order=order)
+    return Tensor(data, requires_grad=True)
 
-    def branch(pre, w):
-        return ag.layer_norm(
-            ag.matmul(ag.add(pre, shared), w), t64(np.ones(2)), t64(np.zeros(2))
-        )
 
+def _product_net(seed: int, grouped: bool, order=(0, 1, 2)):
+    """Scalar loss over three bias-fused products and what feeds and reads
+    them, the tensors to compare and backward's gradients. `x` is the left
+    operand of the first two members and is read again after them, so its
+    gradient sums three parts; the members' row counts straddle
+    SMALL_PRODUCT_ROWS and their weights are output-major. `grouped` runs
+    the members through one `matmuls` call, otherwise through separate
+    `matmul` calls in `order`."""
+    rng = np.random.default_rng(seed)
+    rows = ag.SMALL_PRODUCT_ROWS
+    x = f32(rng, (rows + 8, 24))
+    y = f32(rng, (5, 16))
+    members = [
+        (x, f32(rng, (24, 32), "F"), f32(rng, (32,))),
+        (x, f32(rng, (24, 32), "F"), f32(rng, (32,))),
+        (y, f32(rng, (16, 32), "F"), f32(rng, (32,))),
+    ]
+    w_out = Tensor(rng.standard_normal((4 * 32, 1)).astype(np.float32))
     with Graph() as g:
-        pre = ag.matmul(x, w_in)
-        fns = [functools.partial(branch, pre, w) for w in ws]
-        outs = ag.branches(fns) if split else [fn() for fn in fns]
-        mids = [pre, *outs]
-        outs.append(shared)  # as forward appends its sentiment columns
-        loss = ag.sum_all(ag.matmul(ag.concat_cols(outs), w_out))
-    return g, loss, mids, [w_in, shared, *ws], g.backward(loss)
+        if grouped:
+            outs = ag.matmuls(members)
+        else:
+            by_member = {i: ag.matmul(*members[i]) for i in order}
+            outs = [by_member[i] for i in range(len(members))]
+        late = ag.matmul(x, Tensor(rng.standard_normal((24, 32)).astype(np.float32)))
+        pooled = [ag.mean_pool(out, [out.shape[0]]) for out in outs + [late]]
+        loss = ag.sum_all(ag.matmul(ag.concat_cols(pooled), w_out))
+    leaves = [t for m in members for t in m]
+    return g, loss, outs, leaves, g.backward(loss)
 
 
-def test_branches_give_the_one_tape_gradients_bit_for_bit():
-    g_one, loss_one, mids_one, leaves_one, grads_one = _branch_net(
-        np.random.default_rng(7), split=False
-    )
-    g_split, loss_split, mids_split, leaves_split, grads_split = _branch_net(
-        np.random.default_rng(7), split=True
-    )
-    assert len(g_split) == len(g_one) == 1 + 3 * 3 + 3
-    assert len(g_split._tape) == 5  # the branches call is one entry of the outer tape
-    assert len(g_split._tape[1].outs) == 3  # the append to the returned list did not reach it
-    assert loss_split.data.tobytes() == loss_one.data.tobytes()
-    for a, b in zip(mids_one, mids_split):
-        assert a.data.tobytes() == b.data.tobytes()
-    for a, b in zip(leaves_one, leaves_split):
-        assert a.data.tobytes() == b.data.tobytes()
-        assert grads_one[a].tobytes() == grads_split[b].tobytes()
-
-
-def _branch_net_bytes(seed: int, split: bool) -> list[bytes]:
-    _, loss, mids, leaves, grads = _branch_net(np.random.default_rng(seed), split)
+def _product_net_bytes(seed: int, grouped: bool) -> list[bytes]:
+    _, loss, outs, leaves, grads = _product_net(seed, grouped)
     return (
         [loss.data.tobytes()]
-        + [t.data.tobytes() for t in mids]
-        + [b for t in leaves for b in (t.data.tobytes(), grads[t].tobytes())]
+        + [t.data.tobytes() for t in outs]
+        + [grads[t].tobytes() for t in leaves]
     )
 
 
-def test_concurrent_callers_of_branches_each_get_their_one_tape_gradients():
-    callers, rounds = 6, 20  # more calling threads than cores, all sharing the pool
-    expected = [_branch_net_bytes(seed, split=False) for seed in range(callers)]
+def test_matmuls_give_the_separate_matmul_values_and_gradients_bit_for_bit(pool_or_one_cpu):
+    g_one = _product_net(3, grouped=False)[0]
+    g_group, _, outs_group, leaves_group, _ = _product_net(3, grouped=True)
+    assert _product_net_bytes(3, grouped=True) == _product_net_bytes(3, grouped=False)
+    # One entry holds the three members, and len counts each of them.
+    assert len(g_group._tape) == len(g_one._tape) - 2
+    assert len(g_group) == len(g_one) == 3 + 1 + 4 + 1 + 1 + 1
+    for out, leaf in zip(outs_group, leaves_group[::3]):
+        assert out.data.flags.c_contiguous and out.shape[0] == leaf.shape[0]
+    assert pool_or_one_cpu.as_expected()
+
+
+def test_matmuls_sum_a_shared_operands_gradient_in_the_separate_entry_order(pool_or_one_cpu):
+    # x gets three parts: from `late`, then member 1, then member 0, as
+    # separate entries are walked last to first.
+    def x_grad(grouped, order=(0, 1, 2)):
+        _, _, _, leaves, grads = _product_net(5, grouped, order)
+        return grads[leaves[0]].tobytes()
+
+    assert x_grad(grouped=True) == x_grad(grouped=False)
+    # Separate entries in the other order sum x's parts the other way
+    # round, and that rounds differently here, so the check has teeth.
+    assert x_grad(grouped=False, order=(1, 0, 2)) != x_grad(grouped=False)
+
+
+def test_matmuls_member_whose_output_is_never_used(pool_or_one_cpu, rng):
+    a = f32(rng, (6, 4))
+    used = (a, f32(rng, (4, 3), "F"), f32(rng, (3,)))
+    unused = (a, f32(rng, (4, 3), "F"), f32(rng, (3,)))
+    results = []
+    for grouped in (True, False):
+        with Graph() as g:
+            outs = ag.matmuls([unused, used]) if grouped else [ag.matmul(*unused), ag.matmul(*used)]
+            loss = ag.sum_all(outs[1])
+        grads = g.backward(loss)
+        assert set(grads) == {a, *used[1:]}
+        results.append([grads[t].tobytes() for t in (a, *used[1:])])
+        assert len(g) == 3
+    assert results[0] == results[1]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_matmuls_non_finite_member_raises_after_every_member_finished(pool_or_one_cpu, monkeypatch):
+    big = Tensor(np.full((2, 2), 3e38, dtype=np.float32), requires_grad=True)
+    small = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+    bias = Tensor(np.zeros(2, dtype=np.float32))
+    finished = []
+    real = ag._product_task
+
+    def slow(a, b, bias, op):
+        task = real(a, b, bias, op)
+
+        def run():
+            time.sleep(0.2)
+            finished.append(float(a.data[0, 0]))
+            return task()
+
+        return run
+
+    monkeypatch.setattr(ag, "_product_task", slow)
+    with Graph() as g:
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="matmuls"):
+            # The failing member is the first one this thread runs.
+            ag.matmuls([(big, big, bias), (small, small, bias), (small, small, bias)])
+        assert len(finished) == 3
+    assert len(g) == 0
+
+
+def test_concurrent_callers_of_matmuls_each_get_the_separate_matmul_gradients(pool_or_one_cpu):
+    callers, rounds = 6, 10  # more calling threads than cores, all sharing the pool
+    expected = [_product_net_bytes(seed, grouped=False) for seed in range(callers)]
     results = [[] for _ in range(callers)]
 
     def work(seed):
         for _ in range(rounds):
-            results[seed].append(_branch_net_bytes(seed, split=True))
+            results[seed].append(_product_net_bytes(seed, grouped=True))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -791,70 +849,38 @@ def test_concurrent_callers_of_branches_each_get_their_one_tape_gradients():
     finally:
         sys.setswitchinterval(interval)
     assert results == [[want] * rounds for want in expected]
+    assert pool_or_one_cpu.as_expected()
 
 
-def test_branch_outputs_get_their_own_gradient_arrays():
-    a = t64(np.ones((2, 3)), requires_grad=True)
-    b = t64(np.ones((2, 3)), requires_grad=True)
-    with Graph() as g:
-        outs = ag.branches([lambda: ag.scale(a, 2.0), lambda: ag.scale(b, 3.0)])
-        total = ag.add(*outs)  # its vjp hands one array to both branch outputs
-        loss = ag.sum_all(total)
-    grads = g.backward(loss)
-    assert grads[a] is not grads[b]
-    assert np.array_equal(grads[a], np.full((2, 3), 2.0))
-    assert np.array_equal(grads[b], np.full((2, 3), 3.0))
-
-
-def test_branches_returning_leaves_hand_each_its_own_gradient():
-    a = t64(np.ones((2, 3)), requires_grad=True)
-    b = t64(np.ones((2, 3)), requires_grad=True)
-    with Graph() as g:
-        outs = ag.branches([lambda: a, lambda: b])
-        loss = ag.sum_all(ag.add(*outs))  # its vjp hands one array to both leaves
-    grads = g.backward(loss)
-    assert np.array_equal(grads[a], np.ones((2, 3)))
-    assert np.array_equal(grads[b], np.ones((2, 3)))
-
-
-def test_branch_error_reaches_the_caller_after_every_branch_finished():
-    x = t64(np.ones(3), requires_grad=True)
-    finished = []
-
-    def slow(i, then=None):
-        def run():
-            time.sleep(0.2)
-            finished.append(i)
-            if then is not None:
-                raise then
-            return ag.scale(x, 2.0)
-
-        return run
-
-    def non_finite():
-        return ag.log(ag.scale(x, 0.0))  # log(0) = -inf
-
-    with Graph() as g:
-        with pytest.raises(NonFiniteError):
-            ag.branches([slow(0), non_finite, slow(2, then=ShapeError("later branch"))])
-        assert sorted(finished) == [0, 2]
-    assert len(g) == 0
-
-
-def test_branches_run_inline_outside_training_and_do_not_nest():
-    x = t64(np.ones(2), requires_grad=True)
+def test_small_groups_and_no_graph_stay_exact_on_the_calling_thread(rng, monkeypatch):
     threads = []
+    real = ag._settle
 
-    def scaled(factor):
-        threads.append(threading.get_ident())
-        return ag.scale(x, factor)
+    def recorded(task):
+        threads.append(threading.current_thread().name)
+        return real(task)
 
-    outs = ag.branches([lambda: scaled(2.0), lambda: scaled(3.0)])
-    assert [o.data.tolist() for o in outs] == [[2.0, 2.0], [3.0, 3.0]]
-    assert threads == [threading.get_ident()] * 2
+    monkeypatch.setattr(ag, "_settle", recorded)
+    a = f32(rng, (4, 3))
+    members = [(a, f32(rng, (3, 2)), f32(rng, (2,))) for _ in range(3)]
+    assert sum(4 * 3 * 2 for _ in members) < ag.POOL_MIN_WORK
+    outs = ag.matmuls(members)  # no graph: nothing recorded, no gradient
     assert not any(o.requires_grad for o in outs)
-    with Graph(), pytest.raises(GraphUsageError, match="nest"):
-        ag.branches([lambda: ag.scale(x, 1.0), lambda: ag.branches([lambda: x])[0]])
+    for out, member in zip(outs, members):
+        assert out.data.tobytes() == ag.matmul(*member).data.tobytes()
+    assert threads == [threading.current_thread().name] * 3
+
+
+def test_matmuls_check_every_member():
+    a = Tensor(np.ones((2, 3), dtype=np.float32))
+    w = Tensor(np.ones((3, 2), dtype=np.float32))
+    bias = Tensor(np.zeros(2, dtype=np.float32))
+    with pytest.raises(ShapeError, match="inner"):
+        ag.matmuls([(a, w, bias), (a, a, bias)])
+    with pytest.raises(ShapeError, match="bias"):
+        ag.matmuls([(a, w, Tensor(np.zeros(3, dtype=np.float32)))])
+    with pytest.raises(TypeError):
+        ag.matmuls([(a, Tensor(np.ones((3, 2))), bias)])
 
 
 # ---------------------------------------------------------------------------

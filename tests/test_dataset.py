@@ -1,10 +1,12 @@
 import json
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import vemoclap.dataset as dataset
 from vemoclap.container import EmotionLabel, write_container
 from vemoclap.dataset import (
     DatasetManifest,
@@ -87,6 +89,36 @@ def test_stats_permutation_invariant(rng):
     for name in a.minima:
         assert np.array_equal(a.minima[name], b.minima[name])
         assert np.array_equal(a.maxima[name], b.maxima[name])
+
+
+def test_stats_from_a_manifest_fold_one_decoded_video_at_a_time(tmp_path, rng, monkeypatch):
+    videos = [
+        make_video(rng, n_stored=4, k=i % 3, label=i % 6, video_id=f"vid{i:04d}") for i in range(8)
+    ]
+    rows = []
+    for vf in videos:
+        path = tmp_path / f"{vf.video_id}.vmf"
+        write_container(vf, path)
+        rows.append(ManifestRow(vf.video_id, vf.label, "train", str(path)))
+    alive = []  # a weak reference to every decoded video
+    most_alive = 0
+    real = dataset.read_container
+
+    def tracked(path):
+        nonlocal most_alive
+        vf = real(path)
+        alive.append(weakref.ref(vf))
+        most_alive = max(most_alive, sum(ref() is not None for ref in alive))
+        return vf
+
+    monkeypatch.setattr(dataset, "read_container", tracked)
+    streamed = compute_stats(DatasetManifest(rows), split="train")
+    assert len(alive) == len(videos) and most_alive == 1
+    in_memory = compute_stats(None, videos=videos)
+    assert streamed.digest() == in_memory.digest()
+    for name in in_memory.minima:
+        assert streamed.minima[name].tobytes() == in_memory.minima[name].tobytes()
+        assert streamed.maxima[name].tobytes() == in_memory.maxima[name].tobytes()
 
 
 def test_stats_empty_split_rejected():

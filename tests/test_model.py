@@ -164,13 +164,23 @@ def test_default_config_param_count_is_reported():
 # cross_attention
 
 
+def attend(q_rows, kv_rows, p, heads, kv_mask=None, q_lengths=None):
+    """One pairing through the list form of `cross_attention`."""
+    return cross_attention(
+        [(q_rows, kv_rows, p)],
+        heads=heads,
+        kv_masks=None if kv_mask is None else [kv_mask],
+        q_lengths=None if q_lengths is None else [q_lengths],
+    )[0]
+
+
 def test_single_kv_row_dominates_every_query():
     p = f64_pairing_params(d=4, heads=2, dq=5, dkv=3)
     rng = np.random.default_rng(0)
     q_seq = Tensor(rng.standard_normal((4, 5)), dtype=np.float64)
     kv_seq = Tensor(rng.standard_normal((1, 3)), dtype=np.float64)
 
-    out = cross_attention(q_seq, kv_seq, p, heads=2)
+    out = attend(q_seq, kv_seq, p, heads=2)
     # Weights over a singleton are exactly 1, so the pre-residual content is
     # W_O(V row) + b_O for every query row; check via the oracle with zeroed
     # residual influence removed: all rows share one attended value.
@@ -192,7 +202,7 @@ def test_tiny_case_matches_hand_rolled_oracle():
     rng = np.random.default_rng(1)
     q_seq = rng.standard_normal((2, 5))
     kv_seq = rng.standard_normal((3, 3))
-    out = cross_attention(Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=2)
+    out = attend(Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=2)
     oracle = oracle_cross_attention(q_seq, kv_seq, p, heads=2)
     assert np.allclose(out.data, oracle, rtol=1e-12, atol=1e-12)
 
@@ -202,10 +212,10 @@ def test_kv_permutation_invariance():
     rng = np.random.default_rng(2)
     q_seq = rng.standard_normal((3, 6))
     kv_seq = rng.standard_normal((5, 7))
-    base = cross_attention(Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=4)
+    base = attend(Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=4)
     for trial in range(20):
         perm = np.random.default_rng(trial).permutation(5)
-        out = cross_attention(
+        out = attend(
             Tensor(q_seq, dtype=np.float64), Tensor(kv_seq[perm], dtype=np.float64), p, heads=4
         )
         assert np.allclose(out.data, base.data, atol=1e-5)
@@ -216,9 +226,9 @@ def test_query_permutation_equivariance():
     rng = np.random.default_rng(3)
     q_seq = rng.standard_normal((4, 6))
     kv_seq = rng.standard_normal((5, 7))
-    base = cross_attention(Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=2)
+    base = attend(Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=2)
     perm = np.array([2, 0, 3, 1])
-    permuted = cross_attention(
+    permuted = attend(
         Tensor(q_seq[perm], dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=2
     )
     assert np.allclose(permuted.data, base.data[perm], atol=1e-5)
@@ -232,10 +242,10 @@ def test_appending_masked_row_is_a_noop():
     rng = np.random.default_rng(4)
     q_seq = Tensor(rng.standard_normal((3, 6)), dtype=np.float64)
     kv_seq = rng.standard_normal((4, 7))
-    base = cross_attention(q_seq, Tensor(kv_seq, dtype=np.float64), p, heads=2)
+    base = attend(q_seq, Tensor(kv_seq, dtype=np.float64), p, heads=2)
     extended = np.vstack([kv_seq, rng.standard_normal((1, 7))])
     mask = np.array([True, True, True, True, False])
-    out = cross_attention(q_seq, Tensor(extended, dtype=np.float64), p, heads=2, kv_mask=mask)
+    out = attend(q_seq, Tensor(extended, dtype=np.float64), p, heads=2, kv_mask=mask)
     assert np.allclose(out.data, base.data, atol=1e-6)
 
 
@@ -245,7 +255,7 @@ def test_masked_oracle_agreement():
     q_seq = rng.standard_normal((2, 5))
     kv_seq = rng.standard_normal((4, 3))
     mask = np.array([True, False, True, False])
-    out = cross_attention(
+    out = attend(
         Tensor(q_seq, dtype=np.float64), Tensor(kv_seq, dtype=np.float64), p, heads=2, kv_mask=mask
     )
     oracle = oracle_cross_attention(q_seq, kv_seq, p, heads=2, kv_mask=mask)
@@ -257,7 +267,7 @@ def test_all_rows_masked_is_degenerate():
     q_seq = Tensor(np.zeros((2, 5)), dtype=np.float64)
     kv_seq = Tensor(np.zeros((3, 3)), dtype=np.float64)
     with pytest.raises(DegenerateInputError):
-        cross_attention(q_seq, kv_seq, p, heads=2, kv_mask=np.zeros(3, dtype=bool))
+        attend(q_seq, kv_seq, p, heads=2, kv_mask=np.zeros(3, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +354,7 @@ def test_padded_rows_get_zero_weight_and_zero_gradient():
         q_rows = Tensor(q_arr, requires_grad=requires_grad, dtype=np.float64)
         kv_rows = Tensor(kv_arr, requires_grad=requires_grad, dtype=np.float64)
         with Graph() as g:
-            attn = cross_attention(q_rows, kv_rows, p, heads=2, kv_mask=kv_valid, q_lengths=q_lengths)
+            attn = attend(q_rows, kv_rows, p, heads=2, kv_mask=kv_valid, q_lengths=q_lengths)
             out = ag.mean_pool(attn, q_lengths)
             loss = ag.sum_all(ag.mul(out, Tensor(w, dtype=np.float64)))
         return out, loss, g, q_rows, kv_rows
@@ -393,22 +403,22 @@ def test_tape_size_does_not_grow_with_batch(rng):
     assert sizes == [35, 35], sizes
 
 
-def test_tape_size_does_not_grow_with_batch_in_branches(rng, fanned_out):
+def test_tape_size_does_not_grow_with_batch_on_the_pool(rng, pooled):
     test_tape_size_does_not_grow_with_batch(rng)
-    assert fanned_out == [3, 3]
+    assert pooled.as_expected()
 
 
-def tape_entries(graph):
-    """Every op entry of a graph's tape, those of its `branches` calls included."""
-    for entry in graph._tape:
-        if isinstance(entry, ag._BranchEntry):
-            for branch in entry.graphs:
-                yield from tape_entries(branch)
-        else:
-            yield entry
+def operand_rows(graph) -> dict[int, int]:
+    """{id(w): rows of a} for every (a, w, ...) input triple on the tape:
+    each member of a `matmuls` entry, a `matmul` and a layer norm."""
+    return {
+        id(entry.inputs[j + 1]): entry.inputs[j].shape[0]
+        for entry in graph._tape
+        for j in range(0, len(entry.inputs) - 1, 3)
+    }
 
 
-def test_training_step_in_branches_gives_gradients_to_parameters_only(rng, fanned_out):
+def test_training_step_on_the_pool_gives_gradients_to_parameters_only(rng, pooled):
     config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
     videos = mixed_batch(rng, config.n, count=8)
@@ -416,9 +426,8 @@ def test_training_step_in_branches_gives_gradients_to_parameters_only(rng, fanne
         probs = forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
         loss = cross_entropy(probs, [int(vf.label) for vf in videos])
     grads = g.backward(loss)
-    assert fanned_out == [3]
-    entries = list(tape_entries(g))
-    assert len(entries) == 35
+    assert pooled.as_expected()
+    assert len(g) == 35
     # The parameters are the only leaves: no op output is a key.
     assert set(grads) == {t for _, t in params.named_tensors()}
     for name, t in params.named_tensors():
@@ -433,7 +442,7 @@ def test_expression_projections_see_only_real_rows(rng):
     assert real_rows < len(videos) * max(vf.k for vf in videos)  # the batch has padding
     with Graph() as g:
         forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
-    rows_into = {id(e.inputs[1]): e.inputs[0].shape[0] for e in tape_entries(g) if e.inputs[1:2]}
+    rows_into = operand_rows(g)
     for (q_name, _), p in zip(PAIRINGS, params.pairings):
         expect = real_rows if q_name == "expression" else len(videos) * config.n
         assert rows_into[id(p.w_q)] == expect, q_name
@@ -441,9 +450,9 @@ def test_expression_projections_see_only_real_rows(rng):
         assert rows_into[id(p.gamma)] == expect, q_name  # layer norm's input
 
 
-def test_expression_projections_see_only_real_rows_in_branches(rng, fanned_out):
+def test_expression_projections_see_only_real_rows_on_the_pool(rng, pooled):
     test_expression_projections_see_only_real_rows(rng)
-    assert fanned_out == [3]
+    assert pooled.as_expected()
 
 
 def test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch):
@@ -472,9 +481,9 @@ def test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch):
     assert sorted(q for _, _, q in seen) == sorted([full, full, expression])
 
 
-def test_every_key_value_side_is_b_equal_blocks_of_n_rows_in_branches(rng, monkeypatch, fanned_out):
+def test_every_key_value_side_is_b_equal_blocks_of_n_rows_on_the_pool(rng, monkeypatch, pooled):
     test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch)
-    assert fanned_out == [3]
+    assert pooled.as_expected()
 
 
 def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypatch):
@@ -497,11 +506,12 @@ def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypa
 
     real = model.cross_attention
 
-    def recorded(q_rows, kv_rows, pairing_params, *args, **kwargs):
-        out = real(q_rows, kv_rows, pairing_params, *args, **kwargs)
-        if id(pairing_params) in outputs:
-            outputs[id(pairing_params)].append(out.data.tobytes())
-        return out
+    def recorded(pairs, *args, **kwargs):
+        outs = real(pairs, *args, **kwargs)
+        for (_, _, pairing_params), out in zip(pairs, outs):
+            if id(pairing_params) in outputs:
+                outputs[id(pairing_params)].append(out.data.tobytes())
+        return outs
 
     monkeypatch.setattr(model, "cross_attention", recorded)
     for batch in (videos, more_faces):
@@ -511,11 +521,11 @@ def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypa
         assert len(got) == 2 and got[0] == got[1]
 
 
-def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows_in_branches(
-    rng, monkeypatch, fanned_out
+def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows_on_the_pool(
+    rng, monkeypatch, pooled
 ):
     test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypatch)
-    assert fanned_out == [3, 3]
+    assert pooled.as_expected()
 
 
 def test_default_pairing_gradients_through_padded_queries_match_finite_differences(rng):
@@ -694,32 +704,67 @@ def test_cross_attention_takes_rows_only():
     p = f64_pairing_params()
     q_rows, kv_rows = np.ones((4, 5)), np.ones((3, 3))
     with pytest.raises(ShapeError, match="rows"):
-        cross_attention(Tensor(q_rows.reshape(2, 2, 5), dtype=np.float64),
+        attend(Tensor(q_rows.reshape(2, 2, 5), dtype=np.float64),
                         Tensor(kv_rows, dtype=np.float64), p, heads=2)
     with pytest.raises(ShapeError, match="rows"):
-        cross_attention(Tensor(q_rows, dtype=np.float64),
+        attend(Tensor(q_rows, dtype=np.float64),
                         Tensor(kv_rows.reshape(1, 3, 3), dtype=np.float64), p, heads=2)
     # Without lengths a side's rows are one sequence.
-    one = cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=2)
-    same = cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
+    one = attend(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=2)
+    same = attend(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
                            heads=2, q_lengths=[4])
     assert one.data.tobytes() == same.data.tobytes()
     # Two query sequences need the key/value rows to split into two.
     with pytest.raises(ShapeError, match="split evenly"):
-        cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
+        attend(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p,
                         heads=2, q_lengths=[2, 2])
     with pytest.raises(ShapeError, match="heads"):
-        cross_attention(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=3)
+        attend(Tensor(q_rows, dtype=np.float64), Tensor(kv_rows, dtype=np.float64), p, heads=3)
 
 
 def test_cross_attention_rejects_empty_sequences():
     p = f64_pairing_params()
     with pytest.raises(ShapeError, match="nonempty"):
-        cross_attention(Tensor(np.zeros((0, 5)), dtype=np.float64),
+        attend(Tensor(np.zeros((0, 5)), dtype=np.float64),
                         Tensor(np.zeros((3, 3)), dtype=np.float64), p, heads=2)
     with pytest.raises(ShapeError, match="nonempty"):
-        cross_attention(Tensor(np.zeros((2, 5)), dtype=np.float64),
+        attend(Tensor(np.zeros((2, 5)), dtype=np.float64),
                         Tensor(np.zeros((0, 3)), dtype=np.float64), p, heads=2)
+
+
+def test_pairings_run_together_give_each_pairings_own_result_bit_for_bit(pooled):
+    # Stage by stage over three pairings, as forward runs them, against
+    # each pairing on its own: outputs and gradients, with dropout on.
+    rng = np.random.default_rng(12)
+    params = [f64_pairing_params(seed=s, d=8, heads=2, dq=5, dkv=3) for s in range(3)]
+    lengths = [np.array([2, 3]), np.array([4, 1]), np.array([1, 1])]
+    sides = [
+        (Tensor(rng.standard_normal((int(q.sum()), 5)), dtype=np.float64),
+         Tensor(rng.standard_normal((6, 3)), dtype=np.float64))
+        for q in lengths
+    ]
+    w = rng.standard_normal((2, 8))
+
+    def run(which):
+        with Graph() as g:
+            outs = cross_attention(
+                [(*sides[i], params[i]) for i in which], heads=2, dropout_p=0.5,
+                rngs=[SplitMix64(9).derive("pairing", i) for i in which],
+                q_lengths=[lengths[i] for i in which],
+            )
+            pooled_rows = [ag.mean_pool(out, lengths[i]) for out, i in zip(outs, which)]
+            loss = ag.sum_all(ag.mul(ag.concat_cols(pooled_rows), Tensor(np.tile(w, len(which)))))
+        grads = g.backward(loss)
+        leaves = [t for i in which for _, t in vars(params[i]).items()]
+        return [o.data.tobytes() for o in outs], [grads[t].tobytes() for t in leaves], len(g)
+
+    together = run([0, 1, 2])
+    alone = [run([i]) for i in range(3)]
+    assert together[0] == [b for outs, _, _ in alone for b in outs]
+    assert together[1] == [b for _, grads, _ in alone for b in grads]
+    # Nine ops per pairing; concat_cols, mul and sum_all once, not three times.
+    assert together[2] == 3 * 9 + 3 == sum(n for _, _, n in alone) - 2 * 3
+    assert pooled.as_expected()
 
 
 def test_checkpoint_rejects_wrong_parameter_shape(tmp_path):

@@ -30,9 +30,8 @@ from vemoclap.training import (
     train,
 )
 
-from conftest import make_video, tiny_config, tiny_dims
+from conftest import USABLE_CPUS, make_video, tiny_config, tiny_dims
 
-USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 class OneTensorParams:
@@ -236,6 +235,27 @@ def test_adam_aborts_on_non_finite_gradient():
         adam_step(params, {"theta": np.array([1.0, np.nan], dtype=np.float32)}, state, TrainConfig())
 
 
+def test_chunked_adam_on_the_pool_matches_plain_reference_bit_for_bit(pooled):
+    test_chunked_adam_matches_plain_reference_bit_for_bit()
+    assert pooled.as_expected()
+
+
+def test_adam_on_the_pool_raises_a_divergence_once_both_halves_finished(pooled):
+    tensors = {name: Tensor(np.zeros(4, dtype=np.float32), requires_grad=True) for name in "abcd"}
+    params = NamedParams(tensors)
+    state = AdamState.for_params(params)
+    grads = {name: np.ones(4, dtype=np.float32) for name in tensors}
+    grads["b"] = np.array([1.0, np.inf, 1.0, 1.0], dtype=np.float32)
+    with pytest.raises(TrainingDivergedError, match="'b' at step 1"):
+        adam_step(params, grads, state, TrainConfig(lr=0.5))
+    assert state.step == 1
+    assert pooled.as_expected()
+    # Every other tensor took its step.
+    for name in "acd":
+        assert np.array_equal(tensors[name].data, np.full(4, -0.5, dtype=np.float32)), name
+    assert not tensors["b"].data.any()
+
+
 # ---------------------------------------------------------------------------
 # optimization sanity
 
@@ -314,15 +334,34 @@ def dropout_training_bytes(path) -> tuple[str, bytes]:
         return history_csv(result.history), fh.read()
 
 
-@pytest.mark.parametrize("fanned_first", [False, True], ids=["inline_first", "fanned_first"])
-def test_training_in_branches_is_bit_identical_to_inline(tmp_path, fanned_out, monkeypatch, fanned_first):
+@pytest.mark.parametrize("pool_first", [False, True], ids=["inline_first", "fanned_first"])
+def test_training_in_branches_is_bit_identical_to_inline(tmp_path, pooled, monkeypatch, pool_first):
     runs = {}
-    for fanned in (fanned_first, not fanned_first):
-        monkeypatch.setattr(model, "BRANCH_MIN_ELEMENTS", 0 if fanned else 2**62)
-        calls_before = len(fanned_out)
-        runs[fanned] = dropout_training_bytes(tmp_path / f"fanned{fanned}.ckpt")
-        assert (len(fanned_out) > calls_before) == fanned
+    for on_pool in (pool_first, not pool_first):
+        monkeypatch.setattr(ag, "POOL_MIN_WORK", 0 if on_pool else 2**62)
+        pooled.threads.clear()
+        runs[on_pool] = dropout_training_bytes(tmp_path / f"pool{on_pool}.ckpt")
+        assert pooled.as_expected() if on_pool else set(pooled.threads) == {"MainThread"}
     assert runs[True] == runs[False]
+
+
+def test_predictions_on_the_pool_are_bit_identical_to_inline(pooled, monkeypatch):
+    # Batch-32 products have SMALL_PRODUCT_ROWS rows or more and fill
+    # buffers allocated on the calling thread; batch-1 products are swapped.
+    n = 8
+    assert 32 * n >= ag.SMALL_PRODUCT_ROWS > n
+    config = tiny_config(fd=16, d=16, heads=4, n=n, dropout=0.5)
+    videos = make_separable_videos(seed=12, per_class=6, n_stored=n + 3, dims=tiny_dims(16))
+    stats = compute_stats(None, videos=videos)
+    params = init_params(config, seed=8)
+    runs = {}
+    for floor in (0, 2**62):
+        monkeypatch.setattr(ag, "POOL_MIN_WORK", floor)
+        single = np.stack([predict_label(vf, params, config, stats)[1] for vf in videos])
+        batched = evaluate(videos, params, config, stats).probabilities
+        runs[floor] = (single.tobytes(), batched.tobytes())
+    assert runs[0] == runs[2**62]
+    assert pooled.as_expected()
 
 
 def _train_and_send(path, conn) -> None:
@@ -334,9 +373,9 @@ def _train_and_send(path, conn) -> None:
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_training_in_a_forked_child_after_the_pool_ran(tmp_path, fanned_out):
+def test_training_in_a_forked_child_after_the_pool_ran(tmp_path, pooled):
     expected = dropout_training_bytes(tmp_path / "parent.ckpt")
-    assert fanned_out
+    assert pooled.as_expected()
     assert (ag._POOL is not None) == (USABLE_CPUS > 1)
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
