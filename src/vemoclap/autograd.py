@@ -22,16 +22,28 @@ exact reverse execution order and returns the leaves' gradients. With no
 graph (inference), nothing is recorded, no gradient is computed and
 dropout is the identity.
 
+The tape holds only what a vjp reads. An entry keeps its vjp, which
+saves the arrays it needs, and names the op's outputs and inputs by
+keys that hold no data; only leaves are held as tensors. So an op
+output that no vjp reads (a dropout output, a residual sum, a layer
+norm output) is freed as soon as the forward drops it. Backward
+consumes the tape: it pops each entry before running its vjp, so what
+the entry saved is freed once the vjp has run, and a second backward
+on the same graph raises GraphUsageError. `len(graph)` counts the
+recorded ops before and after.
+
 Gradient ownership
 ------------------
 Backward returns a dict from each leaf (a requires_grad tensor that no
-op on the tape produced) to its gradient, and changes no tensor. A
-returned gradient is the very array a vjp returned (or the sum of
-several), so two leaves may get one array (``add`` hands ``g`` to both
-operands) or arrays that share memory (``reshape`` returns a view in
-both directions). So nothing may write into a returned gradient or a
-vjp's input or output in place: read gradients, or replace them, never
-mutate them.
+op on the tape produced) to its gradient, and changes no tensor. While
+it walks, it holds the leaves' gradients and one summed gradient for
+each op output that gradient has reached and whose entry it has not
+walked yet. A returned gradient is the very array a vjp returned (or
+the sum of several), so two leaves may get one array (``add`` hands
+``g`` to both operands) or arrays that share memory (``reshape`` returns
+a view in both directions). So nothing may write into a returned
+gradient or a vjp's input or output in place: read gradients, or
+replace them, never mutate them.
 
 NaN/Inf is a hard error at op boundaries: tensors are validated at
 construction and every op validates its output, so divergence surfaces
@@ -121,9 +133,11 @@ class Tensor:
 
     Tensor defines no __eq__, so it hashes by identity: two tensors with
     equal data are distinct dict keys, as in `Graph.backward`'s result.
+    `_key` names an op output on the tape of the graph that recorded it
+    (see `Graph._record`), and is None for any other tensor.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, *, copy: bool = True):
         if dtype is None:
@@ -137,6 +151,7 @@ class Tensor:
         _ensure_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
+        self._key = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -158,10 +173,13 @@ class Tensor:
 @dataclass
 class _TapeEntry:
     """One recorded op: vjp takes one gradient (or None) per output and
-    returns one per input, which backward adds up in `inputs` order."""
+    returns one per input, which backward adds up in `inputs` order.
 
-    outs: tuple[Tensor, ...]
-    inputs: tuple[Tensor, ...]
+    Outputs and inputs are named as `Graph._name` names them, so an entry
+    holds no op output."""
+
+    outs: tuple[object, ...]
+    inputs: tuple[object, ...]
     vjp: Callable[..., tuple[Optional[np.ndarray], ...]]
 
 
@@ -183,6 +201,9 @@ class Graph:
 
     def __init__(self):
         self._tape: list[_TapeEntry] = []  # in execution order
+        self._recorded = 0  # op outputs keyed so far
+        self._token = object()  # marks the keys this graph hands out
+        self._walked = False
         self._outer: Optional[Graph] = None
 
     def __enter__(self) -> "Graph":
@@ -195,52 +216,75 @@ class Graph:
         self._outer = None
 
     def __len__(self) -> int:
-        """Recorded ops, counting each `matmuls` member as a `matmul`."""
-        return sum(out.requires_grad for entry in self._tape for out in entry.outs)
+        """Recorded ops, counting each `matmuls` member as a `matmul`;
+        backward does not change it."""
+        return self._recorded
+
+    def _name(self, t: Tensor) -> object:
+        """How this tape names t: None when t needs no gradient, its key
+        when an op on this tape produced it, else t itself (a leaf)."""
+        if not t.requires_grad:
+            return None
+        key = t._key
+        return key if key is not None and key[0] is self._token else t
+
+    def _record(self, outs: Sequence[Tensor], inputs: Sequence[Tensor], vjp) -> None:
+        """Appends an entry for the op that made `outs` from `inputs`, and
+        gives each requires_grad output a key: (this graph's token, its
+        count), which holds no data."""
+        for out in outs:
+            if out.requires_grad:
+                out._key = (self._token, self._recorded)
+                self._recorded += 1
+        self._tape.append(
+            _TapeEntry(tuple(out._key for out in outs), tuple(map(self._name, inputs)), vjp)
+        )
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """d loss / d leaf for every leaf that loss depends on: each
         requires_grad tensor reachable from loss that no op on this tape
         produced. No tensor that an op on this tape produced is a key.
 
-        Walks the tape in exact reverse execution order. Changes no tensor
-        and leaves the tape as it was, so a second call returns the same
-        gradients. They are not copied (see "Gradient ownership" in the
+        Walks the tape in exact reverse execution order and consumes it:
+        each entry, with the arrays its vjp saved, is freed once its vjp
+        has run. A second call raises GraphUsageError. Changes no tensor.
+        The gradients are not copied (see "Gradient ownership" in the
         module docstring).
         """
+        if self._walked:
+            raise GraphUsageError("backward already ran on this graph; its tape is consumed")
         if loss.shape != ():
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
             raise GraphUsageError("loss does not depend on any requires_grad tensor recorded here")
 
-        flowing: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=loss.dtype)}
+        self._walked = True
+        flowing: dict = {self._name(loss): np.ones((), dtype=loss.dtype)}
         _walk(self._tape, flowing)
         # Whatever remains was never produced by a tape entry: the leaves.
-        return {t: g for t, g in flowing.items() if t.requires_grad}
-
-
-def _accumulate(flowing: dict, t: Tensor, g: np.ndarray) -> None:
-    seen = flowing.get(t)
-    flowing[t] = g if seen is None else seen + g
+        return {t: g for t, g in flowing.items() if isinstance(t, Tensor)}
 
 
 def _walk(tape: list[_TapeEntry], flowing: dict) -> None:
-    """Reverse-mode pass over `tape`, starting from the gradients in
-    `flowing` (keyed by tensor). Leaves in `flowing` the gradients of
-    tensors no entry of `tape` produced."""
-    for entry in reversed(tape):
-        g_outs = [flowing.pop(out, None) for out in entry.outs]
+    """Reverse-mode pass that pops every entry off `tape`, starting from
+    the gradients in `flowing` (by tape name). Leaves in `flowing` the
+    gradients of tensors no entry of `tape` produced."""
+    while tape:
+        entry = tape.pop()
+        g_outs = [flowing.pop(key, None) for key in entry.outs]
         if all(g is None for g in g_outs):
             continue
-        for t, g_in in zip(entry.inputs, entry.vjp(*g_outs)):
+        for key, g_in in zip(entry.inputs, entry.vjp(*g_outs)):
             if g_in is not None:
-                _accumulate(flowing, t, g_in)
+                seen = flowing.get(key)
+                flowing[key] = g_in if seen is None else seen + g_in
 
 
 def _result(out_data: np.ndarray) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = False
+    out._key = None
     return out
 
 
@@ -251,7 +295,7 @@ def _emit(out_data: np.ndarray, inputs: Sequence[Tensor], vjp, name: str) -> Ten
     graph = active_graph()
     if graph is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        graph._tape.append(_TapeEntry((out,), tuple(inputs), vjp))
+        graph._record((out,), inputs, vjp)
     return out
 
 
@@ -450,15 +494,14 @@ def matmuls(products: Sequence[tuple[Tensor, Tensor, Tensor]]) -> list[Tensor]:
         parts = run_halves([functools.partial(vjps[i], g_outs[i]) for i in live], [2 * costs[i] for i in live])
         grads = dict(zip(live, parts))
         # Members last to first, as separate entries are walked.
-        return tuple(g for i in reversed(range(len(products))) for g in grads.get(i, (None,) * 3))
+        return tuple(g for i in reversed(range(len(vjps))) for g in grads.get(i, (None,) * 3))
 
     needs = [any(t.requires_grad for t in member) for member in products]
     graph = active_graph()
     if graph is not None and any(needs):
         for out, need in zip(outs, needs):
             out.requires_grad = need
-        inputs = tuple(t for member in reversed(products) for t in member)
-        graph._tape.append(_TapeEntry(tuple(outs), inputs, vjp))
+        graph._record(outs, [t for member in reversed(products) for t in member], vjp)
     return outs
 
 
@@ -571,8 +614,13 @@ def dropout(x: Tensor, p: float, rng: Optional[SplitMix64] = None) -> Tensor:
     # fits in 64 bits because p < 1). One draw per element, same order.
     threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     keep = (rng.next_raw(x.size) >= threshold).reshape(x.shape)
-    scaled_mask = keep.astype(x.dtype) / x.dtype.type(1.0 - p)
-    return _emit(x.data * scaled_mask, (x,), lambda g: (g * scaled_mask,), "dropout")
+    dt = x.dtype.type
+
+    def scaled_mask() -> np.ndarray:
+        # The tape keeps the bool mask, a quarter of the float's bytes.
+        return keep.astype(dt) / dt(1.0 - p)
+
+    return _emit(x.data * scaled_mask(), (x,), lambda g: (g * scaled_mask(),), "dropout")
 
 
 def _layout(n_rows: int, lengths, what: str) -> tuple[int, Optional[np.ndarray]]:

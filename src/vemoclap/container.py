@@ -33,6 +33,7 @@ Containers are immutable after write; concurrent readers are safe.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -41,7 +42,7 @@ import tempfile
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -217,37 +218,52 @@ class RawEntry:
     frame_indices: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _encode_entry(entry: RawEntry) -> bytes:
+def _entry_parts(entry: RawEntry) -> tuple[bytes, bytes | memoryview]:
+    """An entry's encoding as its header bytes and its payload, uncopied."""
     name_bytes = entry.name.encode("utf-8")
-    parts = [struct.pack("<H", len(name_bytes)), name_bytes]
-    parts.append(struct.pack("<BB", entry.presence, len(entry.dims)))
-    parts.append(struct.pack(f"<{len(entry.dims)}I", *entry.dims))
+    head = [struct.pack("<H", len(name_bytes)), name_bytes]
+    head.append(struct.pack("<BB", entry.presence, len(entry.dims)))
+    head.append(struct.pack(f"<{len(entry.dims)}I", *entry.dims))
     if entry.name == "expression":
         if len(entry.frame_indices) != (entry.dims[0] if entry.dims else 0):
             raise SchemaError("expression entry needs dims[0] frame indices")
-        parts.append(struct.pack(f"<{len(entry.frame_indices)}I", *entry.frame_indices))
-    parts.append(entry.payload)
-    return b"".join(parts)
+        head.append(struct.pack(f"<{len(entry.frame_indices)}I", *entry.frame_indices))
+    return b"".join(head), entry.payload
 
 
 def write_blocks(path, entries: Sequence[RawEntry]) -> None:
-    """Serialize entries to `path` atomically (temp file + rename)."""
+    """Serialize entries to `path` atomically (temp file + rename).
+
+    Each part goes to the file as it is encoded, with the crc32 folded in
+    as it goes, so no copy of the whole file is built in memory."""
     if len(entries) > 255:
         raise SchemaError("at most 255 entries per container")
-    body = [MAGIC, struct.pack("<IB", FORMAT_VERSION, len(entries))]
-    body.extend(_encode_entry(e) for e in entries)
-    blob = b"".join(body)
-    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
-    atomic_write_bytes(path, blob)
+
+    def write(fh: BinaryIO) -> None:
+        crc = 0
+        parts = [MAGIC, struct.pack("<IB", FORMAT_VERSION, len(entries))]
+        for part in itertools.chain(parts, *map(_entry_parts, entries)):
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
+
+    _write_atomically(path, write)
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
+    _write_atomically(path, lambda fh: fh.write(blob))
+
+
+def _write_atomically(path, write: Callable[[BinaryIO], object]) -> None:
+    """Runs write(fh) on a temp file beside `path` and renames it onto
+    `path`; if anything fails, the temp file is removed and `path` is left
+    as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -617,16 +617,17 @@ def test_backward_elementwise_square():
     assert np.allclose(grads[x], 2.0 * x.data)
 
 
-def test_backward_twice_returns_the_same_gradients(rng):
+def test_second_backward_on_one_graph_raises(rng):
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
     with Graph() as g:
         loss = ag.sum_all(ag.softmax(ag.matmul(x, w)))
-    first = g.backward(loss)
-    second = g.backward(loss)  # the tape is not consumed
-    assert list(first) == list(second) and set(first) == {x, w}
-    for t in (x, w):
-        assert first[t].tobytes() == second[t].tobytes()
+    assert len(g) == 3
+    assert set(g.backward(loss)) == {x, w}
+    # The tape is consumed, and len still counts the ops it recorded.
+    assert len(g) == 3 and not g._tape
+    with pytest.raises(GraphUsageError, match="already ran"):
+        g.backward(loss)
 
 
 def test_backward_requires_scalar_loss():
@@ -651,7 +652,7 @@ def test_backward_gives_gradients_to_leaves_only():
     assert set(grads) == {x, twin}
     assert np.array_equal(grads[x], np.full(3, 3.0, dtype=np.float32))
     assert np.array_equal(grads[twin], np.full(3, 4.0, dtype=np.float32))
-    assert Tensor.__slots__ == ("data", "requires_grad")
+    assert Tensor.__slots__ == ("data", "requires_grad", "_key")
 
 
 def test_inference_graph_records_nothing():
@@ -721,8 +722,9 @@ def f32(rng, shape, order="C"):
 
 
 def _product_net(seed: int, grouped: bool, order=(0, 1, 2)):
-    """Scalar loss over three bias-fused products and what feeds and reads
-    them, the tensors to compare and backward's gradients. `x` is the left
+    """(len, tape entries) of the graph before backward, the scalar loss
+    over three bias-fused products and what feeds and reads them, the
+    tensors to compare and backward's gradients. `x` is the left
     operand of the first two members and is read again after them, so its
     gradient sums three parts; the members' row counts straddle
     SMALL_PRODUCT_ROWS and their weights are output-major. `grouped` runs
@@ -748,7 +750,7 @@ def _product_net(seed: int, grouped: bool, order=(0, 1, 2)):
         pooled = [ag.mean_pool(out, [out.shape[0]]) for out in outs + [late]]
         loss = ag.sum_all(ag.matmul(ag.concat_cols(pooled), w_out))
     leaves = [t for m in members for t in m]
-    return g, loss, outs, leaves, g.backward(loss)
+    return (len(g), len(g._tape)), loss, outs, leaves, g.backward(loss)
 
 
 def _product_net_bytes(seed: int, grouped: bool) -> list[bytes]:
@@ -761,12 +763,12 @@ def _product_net_bytes(seed: int, grouped: bool) -> list[bytes]:
 
 
 def test_matmuls_give_the_separate_matmul_values_and_gradients_bit_for_bit(pool_or_one_cpu):
-    g_one = _product_net(3, grouped=False)[0]
-    g_group, _, outs_group, leaves_group, _ = _product_net(3, grouped=True)
+    ops_one, entries_one = _product_net(3, grouped=False)[0]
+    (ops_group, entries_group), _, outs_group, leaves_group, _ = _product_net(3, grouped=True)
     assert _product_net_bytes(3, grouped=True) == _product_net_bytes(3, grouped=False)
     # One entry holds the three members, and len counts each of them.
-    assert len(g_group._tape) == len(g_one._tape) - 2
-    assert len(g_group) == len(g_one) == 3 + 1 + 4 + 1 + 1 + 1
+    assert entries_group == entries_one - 2
+    assert ops_group == ops_one == 3 + 1 + 4 + 1 + 1 + 1
     for out, leaf in zip(outs_group, leaves_group[::3]):
         assert out.data.flags.c_contiguous and out.shape[0] == leaf.shape[0]
     assert pool_or_one_cpu.as_expected()

@@ -320,3 +320,63 @@ def test_cursor_rejects_negative_and_oversized_counts():
     with pytest.raises(TruncatedError):
         cur.take(5, "a field")
     assert cur.take(4, "a field") == b"abcd"
+
+
+def joined_encoding(entries) -> bytes:
+    """The VMF1 bytes of `entries`, built as one joined blob: the
+    reference the streaming writer must match byte for byte."""
+    body = [b"VMF1", struct.pack("<IB", 1, len(entries))]
+    for e in entries:
+        name = e.name.encode("utf-8")
+        body += [struct.pack("<H", len(name)), name, struct.pack("<BB", e.presence, len(e.dims))]
+        body.append(struct.pack(f"<{len(e.dims)}I", *e.dims))
+        if e.name == "expression":
+            body.append(struct.pack(f"<{len(e.frame_indices)}I", *e.frame_indices))
+        body.append(bytes(e.payload))
+    blob = b"".join(body)
+    return blob + struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+
+
+def random_entries(rng) -> list[RawEntry]:
+    entries = []
+    for i in range(int(rng.integers(0, 7))):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            shape = tuple(int(d) for d in rng.integers(0, 5, size=int(rng.integers(0, 4))))
+            arr = rng.standard_normal(shape).astype(np.float32)
+            entries.append(array_entry(f"w{i}-é", arr, presence=int(rng.integers(0, 2))))
+        elif kind == 1:
+            entries.append(json_entry(f"j{i}", {"i": i, "x": rng.standard_normal(3).tolist()}))
+        elif not any(e.name == "expression" for e in entries):
+            k = int(rng.integers(0, 4))
+            expr = array_entry("expression", rng.random((k, 5)).astype(np.float32))
+            expr.frame_indices = tuple(sorted(int(f) for f in rng.choice(9, size=k, replace=False)))
+            entries.append(expr)
+    return entries
+
+
+def test_streamed_write_matches_the_joined_encoding(tmp_path, rng):
+    path = tmp_path / "s.vmf"
+    for _ in range(40):
+        entries = random_entries(rng)
+        write_blocks(path, entries)
+        assert path.read_bytes() == joined_encoding(entries)
+    # Payloads as read_blocks gives them (memoryviews) stream too.
+    vf = make_video(rng, n_stored=5, k=3)
+    write_container(vf, path)
+    entries = read_blocks(path)
+    write_blocks(tmp_path / "again.vmf", entries)
+    assert (tmp_path / "again.vmf").read_bytes() == path.read_bytes() == joined_encoding(entries)
+
+
+def test_failed_write_removes_its_temp_file_and_keeps_the_old_file(tmp_path, rng):
+    path = tmp_path / "keep.vmf"
+    write_blocks(path, [json_entry("config", {"a": 1})])
+    before = path.read_bytes()
+    # The bad entry comes after parts already went to the temp file.
+    bad = array_entry("expression", np.ones((2, 3), np.float32))
+    entries = [array_entry("w", rng.standard_normal((64, 64)).astype(np.float32)), bad]
+    with pytest.raises(SchemaError, match="frame indices"):
+        write_blocks(path, entries)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.vmf"]
+    assert path.read_bytes() == before

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -408,14 +409,85 @@ def test_tape_size_does_not_grow_with_batch_on_the_pool(rng, pooled):
     assert pooled.as_expected()
 
 
-def operand_rows(graph) -> dict[int, int]:
-    """{id(w): rows of a} for every (a, w, ...) input triple on the tape:
-    each member of a `matmuls` entry, a `matmul` and a layer norm."""
-    return {
-        id(entry.inputs[j + 1]): entry.inputs[j].shape[0]
-        for entry in graph._tape
-        for j in range(0, len(entry.inputs) - 1, 3)
+def test_tape_keeps_only_what_backward_reads_and_backward_frees_it(monkeypatch):
+    p = f64_pairing_params(d=4, heads=2, dq=5, dkv=3)
+    rng = np.random.default_rng(1)
+    q_rows = Tensor(rng.standard_normal((6, 5)))
+    kv_rows = Tensor(rng.standard_normal((7, 3)))
+    made: dict[str, list] = {}  # weakrefs to each op output's array, in call order
+
+    def spy(name):
+        real = getattr(ag, name)
+
+        def spied(*args, **kwargs):
+            out = real(*args, **kwargs)
+            outs = out if isinstance(out, list) else [out]
+            made.setdefault(name, []).extend(weakref.ref(t.data) for t in outs)
+            return out
+
+        monkeypatch.setattr(ag, name, spied)
+
+    for name in ("matmuls", "dropout", "add", "layer_norm"):
+        spy(name)
+    with Graph() as g:
+        rows = cross_attention([(q_rows, kv_rows, p)], heads=2, dropout_p=0.5, rngs=[SplitMix64(0)])
+        loss = ag.sum_all(ag.mean_pool(rows.pop(), [6]))
+    q, k, v, projected = made["matmuls"]
+    # No vjp reads these, so they died as the forward dropped them.
+    never_read = {
+        "output projection": projected,
+        "dropout": made["dropout"][0],
+        "residual sum": made["add"][0],
+        "layer norm": made["layer_norm"][0],
     }
+    assert [name for name, ref in never_read.items() if ref() is not None] == []
+
+    # Attention reads the q/k/v projections: they live until its entry
+    # is walked, and no longer.
+    alive_at = []
+
+    def watch(vjp):
+        def watched(*g_outs):
+            alive_at.append([ref() is not None for ref in (q, k, v)])
+            return vjp(*g_outs)
+
+        return watched
+
+    for entry in g._tape:
+        entry.vjp = watch(entry.vjp)
+    del entry
+    # The q/k/v group, attention, the output group, dropout, the residual
+    # add, layer norm, the pool and the sum.
+    assert len(g._tape) == 8 and len(g) == 10
+    grads = g.backward(loss)
+    assert alive_at == [[True] * 3] * 7 + [[False] * 3]
+    assert not g._tape and len(g) == 10
+    assert set(grads) == {getattr(p, f.name) for f in dataclasses.fields(p)}
+
+
+def operand_rows(monkeypatch) -> dict[int, int]:
+    """{id(w): rows of a}, filled in as the model runs, for every (a, w,
+    ...) operand triple: each member of a `matmuls` group, a `matmul` and
+    a layer norm. The tape names op outputs by keys without data, so the
+    rows are read from the calls."""
+    rows: dict[int, int] = {}
+    real_matmuls, real_matmul, real_layer_norm = ag.matmuls, ag.matmul, ag.layer_norm
+
+    def matmuls(products):
+        rows.update((id(w), a.shape[0]) for a, w, _ in products)
+        return real_matmuls(products)
+
+    def matmul(a, w, *args, **kwargs):
+        rows[id(w)] = a.shape[0]
+        return real_matmul(a, w, *args, **kwargs)
+
+    def layer_norm(x, gamma, beta):
+        rows[id(gamma)] = x.shape[0]
+        return real_layer_norm(x, gamma, beta)
+
+    for spy in (matmuls, matmul, layer_norm):
+        monkeypatch.setattr(ag, spy.__name__, spy)
+    return rows
 
 
 def test_training_step_on_the_pool_gives_gradients_to_parameters_only(rng, pooled):
@@ -434,15 +506,15 @@ def test_training_step_on_the_pool_gives_gradients_to_parameters_only(rng, poole
         assert grads[t].shape == t.shape, name
 
 
-def test_expression_projections_see_only_real_rows(rng):
+def test_expression_projections_see_only_real_rows(rng, monkeypatch):
     config = tiny_config(dropout=0.5)
     params = init_params(config, seed=0)
     videos = mixed_batch(rng, config.n, count=8)
     real_rows = sum(max(vf.k, 1) for vf in videos)
     assert real_rows < len(videos) * max(vf.k for vf in videos)  # the batch has padding
-    with Graph() as g:
+    rows_into = operand_rows(monkeypatch)
+    with Graph():
         forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
-    rows_into = operand_rows(g)
     for (q_name, _), p in zip(PAIRINGS, params.pairings):
         expect = real_rows if q_name == "expression" else len(videos) * config.n
         assert rows_into[id(p.w_q)] == expect, q_name
@@ -450,8 +522,8 @@ def test_expression_projections_see_only_real_rows(rng):
         assert rows_into[id(p.gamma)] == expect, q_name  # layer norm's input
 
 
-def test_expression_projections_see_only_real_rows_on_the_pool(rng, pooled):
-    test_expression_projections_see_only_real_rows(rng)
+def test_expression_projections_see_only_real_rows_on_the_pool(rng, pooled, monkeypatch):
+    test_expression_projections_see_only_real_rows(rng, monkeypatch)
     assert pooled.as_expected()
 
 
