@@ -6,55 +6,10 @@ with multi-head cross-attention and trains a 6-class emotion classifier.
 Everything numeric runs on a small self-contained reverse-mode autograd
 core (`vemoclap.autograd`); all randomness flows from an explicit 64-bit
 seed (`vemoclap.rng`), so runs are bit-reproducible.
+
+Import names from their modules (`vemoclap.container`, `vemoclap.model`,
+...). The package re-exports nothing, so a leaf module such as
+`vemoclap.container` imports without the autograd core.
 """
 
-from .autograd import Graph, Tensor, grad_check
-from .container import VideoFeatures, read_container, write_container
-from .dataset import (
-    DatasetManifest,
-    EmotionLabel,
-    ModalityStats,
-    apply_blacklist,
-    build_app_split,
-    carve_validation,
-    compute_stats,
-    normalize,
-    sample_indices,
-    select_frames,
-)
-from .model import FusionParams, ModelConfig, cross_attention, forward, init_params, param_count
-from .rng import SplitMix64
-from .training import TrainConfig, adam_step, cross_entropy, evaluate, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DatasetManifest",
-    "EmotionLabel",
-    "FusionParams",
-    "Graph",
-    "ModalityStats",
-    "ModelConfig",
-    "SplitMix64",
-    "Tensor",
-    "TrainConfig",
-    "VideoFeatures",
-    "adam_step",
-    "apply_blacklist",
-    "build_app_split",
-    "carve_validation",
-    "compute_stats",
-    "cross_attention",
-    "cross_entropy",
-    "evaluate",
-    "forward",
-    "grad_check",
-    "init_params",
-    "normalize",
-    "param_count",
-    "read_container",
-    "sample_indices",
-    "select_frames",
-    "train",
-    "write_container",
-]

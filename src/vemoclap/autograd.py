@@ -1,7 +1,8 @@
 """Dense-tensor numeric core with reverse-mode automatic differentiation.
 
 Just enough machinery to express and train the fusion classifier: 2-D
-matmul with an optional fused bias, batched multi-head attention,
+products with an optional fused bias (BLAS `matmuls` for projections, a
+batch-independent `matmul` for the head), batched multi-head attention,
 softmax, layer norm, dropout, temporal pooling, concatenation and a
 handful of pointwise/reduction ops.
 Values are float32 by default; float64 is supported so gradient
@@ -260,24 +261,17 @@ class Graph:
 
         self._walked = True
         flowing: dict = {self._name(loss): np.ones((), dtype=loss.dtype)}
-        _walk(self._tape, flowing)
+        while self._tape:
+            entry = self._tape.pop()
+            g_outs = [flowing.pop(key, None) for key in entry.outs]
+            if all(g is None for g in g_outs):
+                continue
+            for key, g_in in zip(entry.inputs, entry.vjp(*g_outs)):
+                if g_in is not None:
+                    seen = flowing.get(key)
+                    flowing[key] = g_in if seen is None else seen + g_in
         # Whatever remains was never produced by a tape entry: the leaves.
         return {t: g for t, g in flowing.items() if isinstance(t, Tensor)}
-
-
-def _walk(tape: list[_TapeEntry], flowing: dict) -> None:
-    """Reverse-mode pass that pops every entry off `tape`, starting from
-    the gradients in `flowing` (by tape name). Leaves in `flowing` the
-    gradients of tensors no entry of `tape` produced."""
-    while tape:
-        entry = tape.pop()
-        g_outs = [flowing.pop(key, None) for key in entry.outs]
-        if all(g is None for g in g_outs):
-            continue
-        for key, g_in in zip(entry.inputs, entry.vjp(*g_outs)):
-            if g_in is not None:
-                seen = flowing.get(key)
-                flowing[key] = g_in if seen is None else seen + g_in
 
 
 def _result(out_data: np.ndarray) -> Tensor:
@@ -391,12 +385,9 @@ def run_halves(tasks: Sequence[Callable], costs: Sequence[int]) -> list:
 SMALL_PRODUCT_ROWS = 128
 
 
-def _product_task(
-    a: Tensor, b: Tensor, bias: Optional[Tensor], op: str, row_independent: bool = False
-) -> Callable[[], np.ndarray]:
-    """Checks the operands of a @ b + bias and returns a task computing it.
-    An output with SMALL_PRODUCT_ROWS rows or more is allocated now, on
-    the calling thread; the task fills it."""
+def _check_product(a: Tensor, b: Tensor, bias: Optional[Tensor], op: str) -> None:
+    """Raises unless a @ b + bias is a product of 2-D operands of one dtype
+    plus an optional [b.shape[1]] bias row."""
     _same_dtype(a, b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"{op} needs 2-D operands, got {a.shape} @ {b.shape}")
@@ -406,16 +397,18 @@ def _product_task(
         _same_dtype(a, bias)
         if bias.shape != (b.shape[1],):
             raise ShapeError(f"{op} bias must have shape ({b.shape[1]},), got {bias.shape}")
+
+
+def _product_task(a: Tensor, b: Tensor, bias: Optional[Tensor], op: str) -> Callable[[], np.ndarray]:
+    """Checks the operands of a @ b + bias and returns a task computing it
+    with BLAS. An output with SMALL_PRODUCT_ROWS rows or more is allocated
+    now, on the calling thread; the task fills it."""
+    _check_product(a, b, bias, op)
     ad, bd = a.data, b.data
-    small = row_independent or ad.shape[0] < SMALL_PRODUCT_ROWS
-    buffer = None if small else np.empty((ad.shape[0], bd.shape[1]), ad.dtype)
+    buffer = None if ad.shape[0] < SMALL_PRODUCT_ROWS else np.empty((ad.shape[0], bd.shape[1]), ad.dtype)
 
     def task() -> np.ndarray:
-        if row_independent:
-            # b's columns made contiguous, so the k axis of the temporary is
-            # contiguous too and numpy sums it pairwise, not one by one.
-            out = (ad[:, None, :] * np.ascontiguousarray(bd.T)[None, :, :]).sum(axis=-1)
-        elif small:
+        if buffer is None:
             out = np.ascontiguousarray((bd.T @ ad.T).T)
         else:
             out = np.matmul(ad, bd, out=buffer)
@@ -441,10 +434,31 @@ def _product_vjp(a: Tensor, b: Tensor, bias: Optional[Tensor]):
     return vjp
 
 
-def matmul(
-    a: Tensor, b: Tensor, bias: Optional[Tensor] = None, *, row_independent: bool = False
-) -> Tensor:
-    """2-D matrix product plus an optional bias row: a @ b + bias.
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """2-D matrix product plus an optional bias row, a @ b + bias, with
+    the bias and gradients of `matmuls`.
+
+    BLAS picks its kernel by operand shape, so a row of a BLAS a @ b can
+    round differently when a has 1 row than when it has 32. Here entry
+    (i, j) is np.sum over the contiguous products a[i] * b[:, j], a
+    pairwise sum, plus bias[j], so each output row has the same bits
+    whatever rows a holds besides it. It materializes an [m, n, k]
+    temporary, so it suits narrow products such as the classifier head.
+    """
+    _check_product(a, b, bias, "matmul")
+    # b's columns made contiguous, so the k axis of the temporary is
+    # contiguous too and numpy sums it pairwise, not one by one.
+    out = (a.data[:, None, :] * np.ascontiguousarray(b.data.T)[None, :, :]).sum(axis=-1)
+    if bias is not None:
+        out += bias.data
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _emit(out, inputs, _product_vjp(a, b, bias), "matmul")
+
+
+def matmuls(products: Sequence[tuple[Tensor, Tensor, Tensor]]) -> list[Tensor]:
+    """[a @ b + bias for a, b, bias in products] for independent BLAS
+    products, run as two halves of about equal cost on this thread and the
+    worker pool (see `run_halves`), forward and backward.
 
     da = g @ b.T, db = (g.T @ a).T and dbias = g.sum(axis=0); db holds the
     values of a.T @ g, laid out output-major like the model's weights.
@@ -455,28 +469,11 @@ def matmul(
     OpenBLAS at the model's widths, db has the bits of a.T @ g, and the
     swapped product, from 4 rows up, the bits of a @ b.
 
-    BLAS picks its kernel by operand shape, so a row of a @ b can round
-    differently when a has 1 row than when it has 32. `row_independent`
-    computes every entry as its own pairwise-summed dot product instead:
-    entry (i, j) is np.sum over the contiguous products a[i] * b[:, j],
-    which gives each output row the same bits whatever rows a holds
-    besides it. It materializes an [m, n, k] temporary, so it suits
-    narrow products such as the classifier head.
-    """
-    out = _product_task(a, b, bias, "matmul", row_independent)()
-    inputs = (a, b) if bias is None else (a, b, bias)
-    return _emit(out, inputs, _product_vjp(a, b, bias), "matmul")
-
-
-def matmuls(products: Sequence[tuple[Tensor, Tensor, Tensor]]) -> list[Tensor]:
-    """[matmul(a, b, bias) for a, b, bias in products] for independent
-    products, run as two halves of about equal cost on this thread and the
-    worker pool (see `run_halves`), forward and backward.
-
-    Each member has its own `matmul`'s values and gradients to the bit.
-    The group is one tape entry, which hands each input its gradients in
-    the order separate `matmul` entries would have. A non-finite member
-    raises NonFiniteError once every member has finished.
+    Each member gets the values and gradients that a one-member group
+    would give it, to the bit. The group is one tape entry, which hands
+    each input its gradients in the order separate one-member entries
+    would have. A non-finite member raises NonFiniteError once every
+    member has finished.
     """
     tasks = [_product_task(a, b, bias, "matmuls") for a, b, bias in products]
     costs = [a.shape[0] * a.shape[1] * b.shape[1] for a, b, _ in products]
@@ -548,20 +545,25 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _emit(x.data * c, (x,), lambda g: (g * c,), "scale")
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of a numpy array along its last axis, with max-subtraction."""
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_vjp(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient reaching softmax's input from g, given its output."""
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax along the last axis, computed with max-subtraction."""
-    xd = x.data
-    if xd.ndim < 1:
+    if x.data.ndim < 1:
         raise ShapeError("softmax needs at least one axis")
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return _emit(out, (x,), vjp, "softmax")
+    out = _softmax(x.data)
+    return _emit(out, (x,), lambda g: (_softmax_vjp(out, g),), "softmax")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -713,15 +715,12 @@ def attention(
     scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale_c
     if kv_keep is not None:
         scores += np.where(kv_keep, dt(0.0), dt(-MASK_BIAS))[:, None, None, :]
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = _softmax(scores)
     nq, nk, nv = q.requires_grad, k.requires_grad, v.requires_grad
 
     def vjp(g):
         gh = _pad(g, batch, t_q, q_pad, heads)
-        g_weights = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-        g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+        g_scores = _softmax_vjp(weights, np.matmul(gh, vh.transpose(0, 1, 3, 2)))
         g_scores *= scale_c
         return (
             _unpad(np.matmul(g_scores, kh), q_pad) if nq else None,
@@ -899,13 +898,6 @@ class GradCheckReport:
     tol: float
     passed: bool
     checked: int
-
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status}: max rel err {self.max_rel_err:.3e} over {self.checked} "
-            f"entries (tol {self.tol:.1e})"
-        )
 
 
 def grad_check(

@@ -249,6 +249,8 @@ def cmd_eval(args) -> int:
     manifest = read_manifest(args.manifest)
     params, config, header, stats = _load_checkpoint_with_stats(args.checkpoint, args.stats)
     videos = manifest.load_split(args.split)
+    if not videos:
+        raise ValueError(f"split {args.split!r} of manifest {args.manifest} has no videos to evaluate")
     result = evaluate(videos, params, config, stats)
     matrix = confusion(result.predicted_labels, result.true_labels)
     report = RunReport(

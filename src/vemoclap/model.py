@@ -349,7 +349,7 @@ def forward(
 
     video_rows = ag.concat_cols(columns)
     # A video's logits must not depend on how many batchmates it has.
-    logits = ag.matmul(video_rows, params.w_head, params.b_head, row_independent=True)
+    logits = ag.matmul(video_rows, params.w_head, params.b_head)
     return ag.softmax(logits)
 
 

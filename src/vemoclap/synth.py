@@ -84,6 +84,8 @@ def synth_dataset(
         raise ValueError("margin must be nonnegative")
     if videos_per_class < 1:
         raise ValueError("videos_per_class must be >= 1")
+    if test_videos_per_class < 0:
+        raise ValueError(f"test_videos_per_class must be >= 0, got {test_videos_per_class}")
     dims = dict(DEFAULT_DIMS if dims is None else dims)
     means = class_means(margin, dims["clip"])
     os.makedirs(out_dir, exist_ok=True)

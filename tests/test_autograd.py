@@ -141,22 +141,22 @@ def test_matmul_gradient_matches_finite_differences(rng):
     assert max_rel_err(grads[b], finite_difference(loss, b.data)) < 1e-4
 
 
-def test_matmul_row_independent_rows_ignore_batchmates(rng):
+def test_matmul_rows_ignore_batchmates(rng):
     a = rng.uniform(0.0, 1.0, (32, 2560)).astype(np.float32)
     b = rng.uniform(-0.05, 0.05, (2560, 6)).astype(np.float32)
-    full = ag.matmul(Tensor(a), Tensor(b), row_independent=True).data
+    full = ag.matmul(Tensor(a), Tensor(b)).data
     assert np.allclose(full, a.astype(np.float64) @ b.astype(np.float64), rtol=0.0, atol=1e-5)
     for i in range(32):
-        alone = ag.matmul(Tensor(a[i:i + 1]), Tensor(b), row_independent=True).data
+        alone = ag.matmul(Tensor(a[i:i + 1]), Tensor(b)).data
         assert np.array_equal(alone[0], full[i])
 
 
-def test_matmul_row_independent_entry_is_pairwise_sum_of_its_product_row(rng):
+def test_matmul_entry_is_pairwise_sum_of_its_product_row(rng):
     a = rng.uniform(0.0, 1.0, (7, 3072)).astype(np.float32)
     b = rng.uniform(-0.5, 0.5, (3072, 6)).astype(np.float32)
     bias = rng.standard_normal(6).astype(np.float32)
-    out = ag.matmul(Tensor(a), Tensor(b), row_independent=True).data
-    biased = ag.matmul(Tensor(a), Tensor(b), Tensor(bias), row_independent=True).data
+    out = ag.matmul(Tensor(a), Tensor(b)).data
+    biased = ag.matmul(Tensor(a), Tensor(b), Tensor(bias)).data
     for i in range(7):
         for j in range(6):
             # np.sum over a contiguous 1-D array is numpy's pairwise sum.
@@ -186,8 +186,9 @@ def test_matmul_bias_matches_separate_add_bit_for_bit(rng):
 
 @pytest.mark.parametrize("rows", [1, 3, 4, 16, ag.SMALL_PRODUCT_ROWS - 1, ag.SMALL_PRODUCT_ROWS, 200])
 def test_matmul_with_output_major_weight_keeps_values_and_layouts(rng, rows):
-    # Below SMALL_PRODUCT_ROWS the product runs as (w.T @ a.T).T; either
-    # way the output is a fresh row-major array and dW comes out output-major.
+    # Below SMALL_PRODUCT_ROWS a `matmuls` member runs as (w.T @ a.T).T;
+    # either way the output is a fresh row-major array and dW comes out
+    # output-major.
     a_val = rng.uniform(0.0, 1.0, (rows, 48)).astype(np.float32)
     w_val = rng.uniform(-0.2, 0.2, (48, 24)).astype(np.float32)
     bias_val = rng.standard_normal(24).astype(np.float32)
@@ -197,7 +198,7 @@ def test_matmul_with_output_major_weight_keeps_values_and_layouts(rng, rows):
     bias = Tensor(bias_val, requires_grad=True)
     assert w.data.flags.f_contiguous and not w.data.flags.c_contiguous
     with Graph() as g:
-        out = ag.matmul(a, w, bias)
+        (out,) = ag.matmuls([(a, w, bias)])
         loss = ag.sum_all(ag.mul(out, Tensor(g_val)))
     grads = g.backward(loss)
 
@@ -728,8 +729,8 @@ def _product_net(seed: int, grouped: bool, order=(0, 1, 2)):
     operand of the first two members and is read again after them, so its
     gradient sums three parts; the members' row counts straddle
     SMALL_PRODUCT_ROWS and their weights are output-major. `grouped` runs
-    the members through one `matmuls` call, otherwise through separate
-    `matmul` calls in `order`."""
+    the members through one `matmuls` call, otherwise as separate
+    one-member groups in `order`."""
     rng = np.random.default_rng(seed)
     rows = ag.SMALL_PRODUCT_ROWS
     x = f32(rng, (rows + 8, 24))
@@ -744,7 +745,7 @@ def _product_net(seed: int, grouped: bool, order=(0, 1, 2)):
         if grouped:
             outs = ag.matmuls(members)
         else:
-            by_member = {i: ag.matmul(*members[i]) for i in order}
+            by_member = {i: ag.matmuls([members[i]])[0] for i in order}
             outs = [by_member[i] for i in range(len(members))]
         late = ag.matmul(x, Tensor(rng.standard_normal((24, 32)).astype(np.float32)))
         pooled = [ag.mean_pool(out, [out.shape[0]]) for out in outs + [late]]
@@ -794,7 +795,7 @@ def test_matmuls_member_whose_output_is_never_used(pool_or_one_cpu, rng):
     results = []
     for grouped in (True, False):
         with Graph() as g:
-            outs = ag.matmuls([unused, used]) if grouped else [ag.matmul(*unused), ag.matmul(*used)]
+            outs = ag.matmuls([unused, used]) if grouped else [ag.matmuls([m])[0] for m in (unused, used)]
             loss = ag.sum_all(outs[1])
         grads = g.backward(loss)
         assert set(grads) == {a, *used[1:]}
@@ -868,9 +869,10 @@ def test_small_groups_and_no_graph_stay_exact_on_the_calling_thread(rng, monkeyp
     assert sum(4 * 3 * 2 for _ in members) < ag.POOL_MIN_WORK
     outs = ag.matmuls(members)  # no graph: nothing recorded, no gradient
     assert not any(o.requires_grad for o in outs)
-    for out, member in zip(outs, members):
-        assert out.data.tobytes() == ag.matmul(*member).data.tobytes()
-    assert threads == [threading.current_thread().name] * 3
+    alone = [ag.matmuls([member])[0] for member in members]
+    for out, single in zip(outs, alone):
+        assert out.data.tobytes() == single.data.tobytes()
+    assert threads == [threading.current_thread().name] * 6
 
 
 def test_matmuls_check_every_member():
@@ -1063,18 +1065,10 @@ def _attention_lengths_masked(q, k, v):
 OP_SWEEP = {
     "matmul_left": ((3, 4), lambda x: _weighted(ag.matmul(x, t64(_W42)), _W32)),
     "matmul_right": ((4, 2), lambda x: _weighted(ag.matmul(t64(_W34), x), _W32)),
-    "matmul_row_independent": (
-        (3, 4),
-        lambda x: _weighted(ag.matmul(x, t64(_W42), row_independent=True), _W32),
-    ),
     "matmul_bias": ((2,), lambda x: _weighted(ag.matmul(t64(_W34), t64(_W42), x), _W32)),
     "matmul_left_with_bias": (
         (3, 4),
         lambda x: _weighted(ag.matmul(x, t64(_W42), t64(_V2)), _W32),
-    ),
-    "matmul_row_independent_bias": (
-        (2,),
-        lambda x: _weighted(ag.matmul(t64(_W34), t64(_W42), x, row_independent=True), _W32),
     ),
     "transpose": ((3, 4), lambda x: _weighted(ag.transpose(x), _W43)),
     "add_same": ((3, 4), lambda x: _weighted(ag.add(x, t64(_W34)), _W34)),

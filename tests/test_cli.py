@@ -346,6 +346,44 @@ def test_train_refuses_an_empty_carved_validation_split(tmp_path, capsys):
     assert not (tmp_path / "model.ckpt.history.csv").exists()
 
 
+def test_synth_rejects_a_negative_test_count(tmp_path, capsys):
+    out = tmp_path / "data"
+    code, _, err = run(
+        ["synth", "--out", str(out), "--test-per-class", "-2", "--n", "4", "--dims", SMALL_DIMS], capsys
+    )
+    assert code == 1
+    assert "test_videos_per_class must be >= 0, got -2" in err
+    assert not out.exists()
+
+
+def test_eval_on_an_empty_split_names_the_split_and_the_manifest(tmp_path, capsys):
+    from vemoclap.dataset import load_stats
+    from vemoclap.model import ModelConfig, init_params, save_checkpoint
+
+    # No --test-per-class: the manifest holds train rows only.
+    data = tmp_path / "data"
+    code, _, err = run(["synth", "--out", str(data), "--n", "4", "--dims", SMALL_DIMS], capsys)
+    assert code == 0, err
+    manifest = data / "manifest.csv"
+    stats_path = tmp_path / "stats.json"
+    run(["stats", "--manifest", str(manifest), "--out", str(stats_path)], capsys)
+    stats = load_stats(stats_path)
+    config = ModelConfig(input_dims=stats.channel_dims(), d=8, heads=2, dropout_p=0.0, n=4)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, init_params(config, seed=1), config, seed=1, stats_digest=stats.digest())
+    code, out, err = run(
+        [
+            "eval", "--manifest", str(manifest), "--stats", str(stats_path),
+            "--checkpoint", str(ckpt), "--split", "test", "--out", str(tmp_path / "r"),
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert f"split 'test' of manifest {manifest} has no videos" in err
+    assert out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(["--lr", "nan"], "lr must be finite"), (["--dim", "32", "--heads", "3"], "divisible by heads")],

@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,21 @@ from vemoclap.container import (
 )
 
 from conftest import make_video
+
+
+def test_leaf_modules_import_without_the_autograd_core():
+    # The package re-exports nothing, so reading containers, manifests and
+    # seeds starts no part of the model, its training or its worker pool.
+    probe = (
+        "import sys, vemoclap.container, vemoclap.dataset, vemoclap.rng\n"
+        "heavy = ('vemoclap.autograd', 'vemoclap.model', 'vemoclap.training', 'concurrent.futures')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 def test_round_trip_equal_field_for_field(tmp_path, rng):
