@@ -4,6 +4,7 @@ import numpy as np
 
 from vemoclap.autograd import Tensor
 from vemoclap.container import EmotionLabel, VideoFeatures
+from vemoclap.dataset import select_frames
 from vemoclap.model import PAIRINGS, ModelConfig, cross_attention, forward, init_params, param_count
 
 rng = np.random.default_rng(0)
@@ -56,18 +57,23 @@ def make_video(video_id, faces):
     )
 
 
-# Face counts differ (2, 0 and 5 rows): the batch carries expression as
-# its 2 + 1 + 5 real rows, a faceless video keeping one zero row, plus the
-# per-video lengths [2, 1, 5] -- the same rows-plus-lengths layout that
-# cross_attention takes above, there with one sequence per side. Only the
-# attention products pad to 5 rows; projections, dropout, layer norm and
-# the pool never see a padded row.
+# Face counts differ (2, 0 and 5 rows). select_frames gathers the batch
+# (here every frame, and features already in [0, 1], so there is nothing
+# to normalize): clip and beats as 3 x 6 rows, the 2 + 5 face rows, and
+# the face counts. forward gives the faceless video one zero row, so
+# expression travels as 2 + 1 + 5 real rows with lengths [2, 1, 5] -- the
+# same rows-plus-lengths layout that cross_attention takes above, there
+# with one sequence per side. Only the attention products pad to 5 rows;
+# projections, dropout, layer norm and the pool never see a padded row.
 videos = [
     make_video("two-faces", [1, 4]),
     make_video("no-face", []),
     make_video("five", [0, 1, 2, 3, 5]),
 ]
-probs = forward(videos, params, config)
+every_frame = [np.arange(6)] * len(videos)
+rows, faces = select_frames(videos, every_frame)
+print("face rows:", rows["expression"].shape, "faces per video:", faces.tolist())
+probs = forward(rows, faces, params, config)
 print("batched probabilities:", probs.shape)
 for label, p in zip(EmotionLabel, probs.data[0]):
     print(f"  {label.label_name:<9} {p:.4f}")
@@ -75,5 +81,5 @@ print("row sums:", probs.data.sum(axis=1))
 
 # A video's row does not depend on its batchmates or on the padding:
 for i, vf in enumerate(videos):
-    alone = forward([vf], params, config)
+    alone = forward(*select_frames([vf], every_frame[:1]), params, config)
     print(f"{vf.video_id}: max deviation batch vs alone {np.abs(alone.data[0] - probs.data[i]).max():.1e}")

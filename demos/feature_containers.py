@@ -1,4 +1,4 @@
-"""The on-disk feature pipeline: containers, manifests, stats, sampling."""
+"""The on-disk feature pipeline: containers, manifests, stats, sampling, batches."""
 
 import os
 import tempfile
@@ -11,6 +11,7 @@ from vemoclap.dataset import (
     ManifestRow,
     compute_stats,
     normalize,
+    normalize_features,
     read_manifest,
     sample_indices,
     select_frames,
@@ -61,9 +62,14 @@ print("equidistant(32 -> 4):", sample_indices(32, 4).tolist())
 print("random(8 -> 4):      ", sample_indices(8, 4, mode="random", rng=SplitMix64(5)).tolist())
 print("padded(5 -> 8):      ", sample_indices(5, 8).tolist())
 
-sampled = select_frames(video, sample_indices(8, 4))
+# A batch is gathered once: select_frames stacks each video's sampled
+# rows into one array per modality (clip and beats [B*n, C], the kept face
+# rows, sentiment [B, C]) and counts each video's kept faces, and
+# normalize_features then normalizes each array once.
+rows, faces = select_frames([video, back], [sample_indices(8, 4), [0, 3, 3, 7]])
+rows = normalize_features(rows, stats)
 print(
-    "sampled video: clip", sampled.clip.shape,
-    "expression rows kept:", sampled.k,
-    "at sampled positions", sampled.expression_frame_index.tolist(),
+    "gathered batch: clip", rows["clip"].shape,
+    "face rows", rows["expression"].shape,
+    "kept faces per video", faces.tolist(),
 )

@@ -576,10 +576,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"gamma/beta must have shape ({c},), got {gamma.shape} / {beta.shape}")
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = np.square(xd - mu).mean(axis=-1, keepdims=True)
+    xhat = xd - xd.mean(axis=-1, keepdims=True)  # centred here, scaled below
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(LAYER_NORM_EPS))
-    xhat = (xd - mu) * inv
+    xhat *= inv
     gd = gamma.data
     nx, ng, nb = x.requires_grad, gamma.requires_grad, beta.requires_grad
     lead_axes = tuple(range(xd.ndim - 1))

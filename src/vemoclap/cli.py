@@ -27,6 +27,7 @@ from .dataset import (
     read_blacklist,
     read_manifest,
     save_stats,
+    select_frames,
     write_manifest,
 )
 from .metrics import (
@@ -373,9 +374,12 @@ def cmd_gradcheck(args) -> int:
             )
         )
     labels = [int(vf.label) for vf in videos]
+    # Every frame, as stored; the features are drawn in [0, 1] like
+    # normalized ones, so they go to the model as they are.
+    rows, faces = select_frames(videos, [np.arange(args.n)] * len(videos))
 
     def loss_fn(_ignored):
-        return cross_entropy(forward(videos, params, config), labels)
+        return cross_entropy(forward(rows, faces, params, config), labels)
 
     failures = 0
     worst = 0.0

@@ -51,7 +51,6 @@ FORMAT_VERSION = 1
 PAYLOAD_DTYPE = np.dtype("<f4")
 
 MODALITY_NAMES = ("clip", "beats", "expression", "ocr_sentiment", "asr_sentiment")
-SEQUENTIAL_MODALITIES = ("clip", "beats", "expression")
 META_ENTRY = "meta"
 
 

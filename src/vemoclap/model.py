@@ -1,10 +1,11 @@
 """Cross-attention fusion classifier.
 
-Per-modality intake expects features already sampled to n frames and
-min-max normalized. The forward pass runs a whole batch of videos at
-once. Each sequential modality travels as its videos' real rows stacked
-one after another, with per-video row counts: n rows of clip and beats,
-and k expression rows (one zero row for a faceless video). Each of the
+The forward pass runs a whole batch of videos at once, on the arrays
+`dataset.select_frames` gathers (n sampled frames per video) and
+`dataset.normalize_features` min-max normalizes. Each sequential
+modality travels as its videos' real rows stacked one after another,
+with per-video row counts: n rows of clip and beats, and k expression
+rows (one zero row for a faceless video). Each of the
 paper's three fixed (query, key/value) `PAIRINGS` runs multi-head
 scaled dot-product attention (query projected to width d, post-norm
 residual, dropout on the output projection) over those rows,
@@ -44,9 +45,7 @@ from .autograd import Tensor
 from .container import (
     CLASS_COUNT,
     MODALITY_NAMES,
-    SEQUENTIAL_MODALITIES,
     RawEntry,
-    VideoFeatures,
     array_entry,
     entry_array,
     entry_json,
@@ -278,49 +277,17 @@ def cross_attention(
     ]
 
 
-def _batch_arrays(
-    videos: Sequence[VideoFeatures], config: ModelConfig
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Row-stacked [sum(lengths), C] sequences and [B, s] sentiment rows, plus lengths.
-
-    Each sequential modality holds its videos' rows one after another,
-    with no padding, and a [B] array of per-video row counts. clip and
-    beats hold n rows per video. Expression holds a video's k real rows;
-    a video with no detected face keeps a single zero row, counted as
-    real, which keeps its branch shape-valid.
-    """
-    dims = config.input_dims
-    for vf in videos:
-        if vf.n_stored != config.n:
-            raise ag.ShapeError(
-                f"video {vf.video_id!r} has {vf.n_stored} frames; sample to n={config.n} first"
-            )
-        for name, got in vf.channel_dims().items():
-            # A faceless video's (0, C) expression array is never read.
-            if got != dims[name] and (vf.k or name != "expression"):
-                raise ag.ShapeError(
-                    f"modality {name!r}: channel dim {got} does not match config {dims[name]}"
-                )
-    arrays = {
-        name: np.stack([getattr(vf, name) for vf in videos])
-        for name in ("ocr_sentiment", "asr_sentiment")
-    }
-    for name in ("clip", "beats"):
-        arrays[name] = np.concatenate([getattr(vf, name) for vf in videos])
-    no_face = np.zeros((1, dims["expression"]), np.float32)
-    arrays["expression"] = np.concatenate([vf.expression if vf.k else no_face for vf in videos])
-    full = np.full(len(videos), config.n)
-    lengths = {"clip": full, "beats": full, "expression": np.array([max(vf.k, 1) for vf in videos])}
-    return arrays, lengths
-
-
 def forward(
-    videos: Sequence[VideoFeatures],
+    rows: Mapping[str, np.ndarray],
+    faces: np.ndarray,
     params: FusionParams,
     config: ModelConfig,
     rng: Optional[SplitMix64] = None,
 ) -> Tensor:
-    """[B, 6] class probabilities for a batch of sampled, normalized videos.
+    """[B, 6] class probabilities for a batch that `dataset.select_frames`
+    gathered and `dataset.normalize_features` normalized: clip and beats
+    [B*n, C], face rows [sum(faces), C] and sentiment [B, C], where
+    `faces[b]` counts video b's face rows. Each tensor adopts its array.
 
     One pass serves the whole batch; a video's row does not depend on its
     batchmates beyond floating-point rounding. Every modality travels as
@@ -329,25 +296,37 @@ def forward(
     Dropout fires only inside a Graph, in which case `rng` must be
     supplied; with no graph (inference), calls are deterministic.
     """
-    if len(videos) == 0:
-        raise ValueError("forward needs at least one video")
+    faces = np.asarray(faces)
+    if faces.ndim != 1 or faces.size == 0 or faces.min() < 0:
+        raise ValueError("forward needs one nonnegative face count per video, for one video or more")
+    b, dims = faces.size, config.input_dims
+    counts = {"clip": b * config.n, "beats": b * config.n, "expression": int(faces.sum())}
+    for name in MODALITY_NAMES:
+        got, want = rows[name].shape, (counts.get(name, b), dims[name])
+        # With no face in the batch, the empty face block's width is never read.
+        if got != want and got[:1] + want[:1] != (0, 0):
+            raise ag.ShapeError(
+                f"modality {name!r}: rows {got}, expected {want} for {b} videos sampled to n={config.n}"
+            )
+    if not faces.all():
+        # A video that keeps no face gets one zero row where its faces
+        # would be, counted as real, which keeps its pairing shape-valid.
+        expression = rows["expression"].reshape(-1, dims["expression"])
+        rows = dict(rows, expression=np.insert(expression, np.cumsum(faces)[faces == 0], 0.0, axis=0))
     dtype = params.w_head.data.dtype
-    arrays, lengths = _batch_arrays(videos, config)
-    # The stacked arrays are fresh, so each tensor adopts its array.
-    seqs = {name: Tensor(arrays.pop(name), dtype=dtype, copy=False) for name in SEQUENTIAL_MODALITIES}
+    inputs = {name: Tensor(rows[name], dtype=dtype, copy=False) for name in MODALITY_NAMES}
+    full = np.full(b, config.n)
+    lengths = {"clip": full, "beats": full, "expression": np.maximum(faces, 1)}
 
     attended = cross_attention(
-        [(seqs[q], seqs[kv], p) for (q, kv), p in zip(PAIRINGS, params.pairings)],
+        [(inputs[q], inputs[kv], p) for (q, kv), p in zip(PAIRINGS, params.pairings)],
         heads=config.heads,
         dropout_p=config.dropout_p,
         rngs=None if rng is None else [rng.derive("pairing", i) for i in range(len(PAIRINGS))],
         q_lengths=[lengths[q] for q, _ in PAIRINGS],
     )
-    columns = [ag.mean_pool(rows, lengths[q]) for rows, (q, _) in zip(attended, PAIRINGS)]
-    for name in ("ocr_sentiment", "asr_sentiment"):
-        columns.append(Tensor(arrays[name], dtype=dtype))
-
-    video_rows = ag.concat_cols(columns)
+    columns = [ag.mean_pool(out, lengths[q]) for out, (q, _) in zip(attended, PAIRINGS)]
+    video_rows = ag.concat_cols(columns + [inputs["ocr_sentiment"], inputs["asr_sentiment"]])
     # A video's logits must not depend on how many batchmates it has.
     logits = ag.matmul(video_rows, params.w_head, params.b_head)
     return ag.softmax(logits)

@@ -197,10 +197,6 @@ def write_history(history: Sequence[EpochStats], path) -> None:
     atomic_write_bytes(path, history_csv(history).encode("utf-8"))
 
 
-def _prepare(vf: VideoFeatures, indices, stats: ModalityStats) -> VideoFeatures:
-    return normalize_features(select_frames(vf, indices), stats)
-
-
 def _snapshot(params: FusionParams) -> dict[str, np.ndarray]:
     """Copies of the parameters, each in its tensor's memory layout."""
     return {name: t.data.copy(order="K") for name, t in params.named_tensors()}
@@ -217,11 +213,11 @@ def _predict_batch(
     videos: Sequence[VideoFeatures], params: FusionParams, config: ModelConfig, stats: ModalityStats
 ) -> np.ndarray:
     """[B, 6] probabilities with equidistant sampling and no graph (test conditions)."""
-    prepared = [
-        _prepare(vf, sample_indices(vf.n_stored, config.n, mode="equidistant"), stats)
-        for vf in videos
-    ]
-    return forward(prepared, params, config).data
+    rows, faces = select_frames(
+        videos, [sample_indices(vf.n_stored, config.n, mode="equidistant") for vf in videos]
+    )
+    rows = normalize_features(rows, stats)
+    return forward(rows, faces, params, config).data
 
 
 def predict_label(
@@ -275,7 +271,9 @@ def evaluate(
 
 
 def _train_step(
-    batch: Sequence[VideoFeatures],
+    rows: dict[str, np.ndarray],
+    faces: np.ndarray,
+    labels: Sequence[int],
     params: FusionParams,
     model_config: ModelConfig,
     train_config: TrainConfig,
@@ -283,8 +281,9 @@ def _train_step(
     dropout_rng: SplitMix64,
     grads: dict[str, np.ndarray],
 ) -> float:
-    """One Adam step on `batch`; returns its loss and leaves its gradients,
-    by parameter name, in `grads`.
+    """One Adam step on a gathered, normalized batch (see `forward`);
+    returns its loss and leaves its gradients, by parameter name, in
+    `grads`.
 
     Backward consumes the step's graph, freeing each activation once its
     vjp has run. `grads` holds the previous step's gradients until it is
@@ -297,8 +296,8 @@ def _train_step(
     step's peak allocation by 12 MB but it made 8.5 k faults; freed
     after Adam, 7.5-8.2 k. Either ran about 10% slower."""
     with Graph() as graph:
-        probs = forward(batch, params, model_config, rng=dropout_rng)
-        loss = cross_entropy(probs, [int(vf.label) for vf in batch])
+        probs = forward(rows, faces, params, model_config, rng=dropout_rng)
+        loss = cross_entropy(probs, labels)
     grads.clear()
     leaf_grads = graph.backward(loss)
     grads.update((name, leaf_grads[t]) for name, t in params.named_tensors() if t in leaf_grads)
@@ -336,19 +335,24 @@ def train(
         loss_sum = 0.0
         seen = 0
         for start in range(0, len(order), train_config.batch_size):
-            batch_ids = order[start:start + train_config.batch_size]
-            batch = []
-            for vid_pos in batch_ids:
-                vf = train_videos[int(vid_pos)]
-                idx = sample_indices(
+            batch = [train_videos[int(i)] for i in order[start:start + train_config.batch_size]]
+            indices = [
+                sample_indices(
                     vf.n_stored,
                     model_config.n,
                     mode="random",
                     rng=epoch_rng.derive("frames", vf.video_id),
                 )
-                batch.append(_prepare(vf, idx, stats))
+                for vf in batch
+            ]
+            rows, faces = select_frames(batch, indices)
+            # The raw rows go before the step; its tensors adopt the normalized ones.
+            rows = normalize_features(rows, stats)
             dropout_rng = epoch_rng.derive("dropout", int(start))
-            loss = _train_step(batch, params, model_config, train_config, state, dropout_rng, grads)
+            labels = [int(vf.label) for vf in batch]
+            loss = _train_step(
+                rows, faces, labels, params, model_config, train_config, state, dropout_rng, grads
+            )
             loss_sum += loss * len(batch)
             seen += len(batch)
 

@@ -7,6 +7,7 @@ import pytest
 
 import vemoclap.autograd as ag
 from vemoclap.container import MODALITY_NAMES, EmotionLabel, VideoFeatures
+from vemoclap.dataset import select_frames
 from vemoclap.model import ModelConfig, init_params
 
 
@@ -71,6 +72,12 @@ def make_video(
     )
 
 
+def gathered(videos):
+    """`forward`'s rows and face counts for every stored frame of each
+    video, not normalized."""
+    return select_frames(videos, [np.arange(vf.n_stored) for vf in videos])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
@@ -103,10 +110,7 @@ class PoolUse:
 def pooled(monkeypatch):
     """Every group of two or more independent tasks (`autograd.run_halves`)
     is split between the calling thread and the worker pool, whatever its
-    size (POOL_MIN_WORK is 0). The value records where the tasks ran.
-    `test_training_in_branches_is_bit_identical_to_inline` keeps an older
-    name: each group's two halves are branches of work, one on the calling
-    thread and one on the pool."""
+    size (POOL_MIN_WORK is 0). The value records where the tasks ran."""
     use = PoolUse()
     real = ag._settle
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vemoclap.dataset as dataset
-from vemoclap.container import EmotionLabel, write_container
+from vemoclap.container import MODALITY_NAMES, EmotionLabel, write_container
 from vemoclap.dataset import (
     DatasetManifest,
     ManifestRow,
@@ -258,34 +258,64 @@ def test_sample_indices_validates_arguments():
 
 def test_select_all_frames_is_identity(rng):
     vf = make_video(rng, n_stored=5, k=3)
-    out = select_frames(vf, np.arange(5))
-    assert out == vf
+    rows, faces = select_frames([vf], [np.arange(5)])
+    assert faces.tolist() == [3]
+    for name in MODALITY_NAMES:
+        assert np.array_equal(rows[name], np.atleast_2d(getattr(vf, name))), name
 
 
 def test_select_keeps_only_expression_rows_in_set(rng):
     vf = make_video(rng, n_stored=8, k=2)
     vf.expression_frame_index = np.array([2, 7], dtype=np.int64)
-    out = select_frames(vf, [0, 2, 4])
-    assert out.k == 1
-    assert np.array_equal(out.expression[0], vf.expression[0])
-    assert out.expression_frame_index.tolist() == [1]  # frame 2 sits at position 1
+    rows, faces = select_frames([vf], [[0, 2, 4]])
+    assert faces.tolist() == [1]
+    assert np.array_equal(rows["expression"], vf.expression[:1])
 
 
 def test_select_random_case_matches_gather_oracle(rng):
     vf = make_video(rng, n_stored=10, k=4)
     idx = np.array([1, 3, 3, 9])
-    out = select_frames(vf, idx)
-    assert np.array_equal(out.clip, vf.clip[idx])
-    assert np.array_equal(out.beats, vf.beats[idx])
+    rows, faces = select_frames([vf], [idx])
+    assert np.array_equal(rows["clip"], vf.clip[idx])
+    assert np.array_equal(rows["beats"], vf.beats[idx])
     kept = [i for i, f in enumerate(vf.expression_frame_index) if f in set(idx.tolist())]
-    assert np.array_equal(out.expression, vf.expression[kept])
-    assert np.array_equal(out.ocr_sentiment, vf.ocr_sentiment)
+    assert np.array_equal(rows["expression"], vf.expression[kept])
+    assert faces.tolist() == [len(kept)]
+    assert np.array_equal(rows["ocr_sentiment"], vf.ocr_sentiment[None, :])
 
 
 def test_select_frames_out_of_range(rng):
     vf = make_video(rng, n_stored=4)
-    with pytest.raises(ValueError):
-        select_frames(vf, [0, 4])
+    for bad in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError, match="out of range"):
+            select_frames([vf], [bad])
+
+
+def test_select_frames_needs_one_index_list_per_video(rng):
+    videos = [make_video(rng, n_stored=4, video_id=f"v{i}") for i in range(2)]
+    with pytest.raises(ValueError, match="got 1 for 2"):
+        select_frames(videos, [[0, 1]])
+    with pytest.raises(ValueError, match="got 3 for 2"):
+        select_frames(videos, [[0, 1]] * 3)
+    with pytest.raises(ValueError, match="got 0 for 0"):
+        select_frames([], [])
+    with pytest.raises(ValueError, match="one length"):
+        select_frames(videos, [[0, 1], [0, 1, 2]])
+
+
+def test_select_frames_names_a_video_of_another_width(rng):
+    wide = dict(tiny_dims(), beats=5)
+    videos = [
+        make_video(rng, n_stored=4, video_id="a"),
+        make_video(rng, n_stored=4, dims=wide, video_id="b"),
+    ]
+    with pytest.raises(ValueError, match="'b'.*'beats'"):
+        select_frames(videos, [[0, 1], [0, 1]])
+    # A video that keeps no face adds no row, so its face width is not read.
+    faceless = make_video(rng, n_stored=4, k=0, dims=dict(tiny_dims(), expression=5), video_id="c")
+    rows, faces = select_frames([videos[0], faceless], [[0, 1, 2, 3]] * 2)
+    assert faces.tolist() == [videos[0].k, 0]
+    assert rows["expression"].shape == (videos[0].k, tiny_dims()["expression"])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 import vemoclap.autograd as ag
 import vemoclap.model as model
 from vemoclap.autograd import DegenerateInputError, Graph, ShapeError, Tensor
+from vemoclap.container import MODALITY_NAMES
+from vemoclap.dataset import compute_stats, normalize, normalize_features, sample_indices, select_frames
 from vemoclap.model import (
     PAIRINGS,
     AttentionParams,
@@ -24,7 +26,7 @@ from vemoclap.model import (
 from vemoclap.rng import SplitMix64
 from vemoclap.training import cross_entropy
 
-from conftest import make_video, tiny_config, tiny_dims
+from conftest import gathered, make_video, tiny_config, tiny_dims
 
 
 def oracle_cross_attention(q_seq, kv_seq, p: AttentionParams, heads, kv_mask=None, eps=1e-5):
@@ -279,7 +281,7 @@ def test_forward_outputs_probability_vector(rng):
     config = tiny_config()
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=2)
-    probs = forward([vf], params, config)
+    probs = forward(*gathered([vf]), params, config)
     assert probs.shape == (1, 6)
     assert np.all(probs.data >= 0.0)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
@@ -289,7 +291,7 @@ def test_forward_handles_zero_expression_rows(rng):
     config = tiny_config()
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=0)
-    probs = forward([vf], params, config)
+    probs = forward(*gathered([vf]), params, config)
     assert abs(float(probs.data.sum()) - 1.0) < 1e-6
 
 
@@ -297,8 +299,8 @@ def test_forward_inference_is_bitwise_deterministic(rng):
     config = tiny_config(dropout=0.5)  # dropout must not fire with no graph
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=config.n, k=1)
-    a = forward([vf], params, config)
-    b = forward([vf], params, config)
+    a = forward(*gathered([vf]), params, config)
+    b = forward(*gathered([vf]), params, config)
     assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -320,10 +322,10 @@ def test_forward_batching_consistency(rng):
         params = init_params(config, seed=0, dtype=dtype)
         videos = mixed_batch(rng, config.n)
         assert len({vf.k for vf in videos}) == config.n + 1
-        batch_rows = forward(videos, params, config)
+        batch_rows = forward(*gathered(videos), params, config)
         assert batch_rows.shape == (len(videos), 6)
         for i, vf in enumerate(videos):
-            single = forward([vf], params, config)
+            single = forward(*gathered([vf]), params, config)
             assert np.allclose(single.data[0], batch_rows.data[i], rtol=0.0, atol=tol)
 
 
@@ -332,10 +334,10 @@ def test_forward_batch_permutation_permutes_rows(rng):
     for dtype, tol in BATCH_TOL.items():
         params = init_params(config, seed=3, dtype=dtype)
         videos = mixed_batch(rng, config.n)
-        base = forward(videos, params, config).data
+        base = forward(*gathered(videos), params, config).data
         for trial in range(5):
             perm = np.random.default_rng(trial).permutation(len(videos))
-            permuted = forward([videos[i] for i in perm], params, config).data
+            permuted = forward(*gathered([videos[i] for i in perm]), params, config).data
             assert np.allclose(permuted, base[perm], rtol=0.0, atol=tol)
 
 
@@ -395,7 +397,7 @@ def test_tape_size_does_not_grow_with_batch(rng):
     sizes = []
     for batch in (videos[:1], videos):
         with Graph() as g:
-            probs = forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
+            probs = forward(*gathered(batch), params, config, rng=SplitMix64(0).derive("drop"))
             cross_entropy(probs, [int(vf.label) for vf in batch])
         sizes.append(len(g))
     # Per pairing: four bias-fused projections, attention, dropout, the
@@ -495,7 +497,7 @@ def test_training_step_on_the_pool_gives_gradients_to_parameters_only(rng, poole
     params = init_params(config, seed=0)
     videos = mixed_batch(rng, config.n, count=8)
     with Graph() as g:
-        probs = forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
+        probs = forward(*gathered(videos), params, config, rng=SplitMix64(0).derive("drop"))
         loss = cross_entropy(probs, [int(vf.label) for vf in videos])
     grads = g.backward(loss)
     assert pooled.as_expected()
@@ -514,7 +516,7 @@ def test_expression_projections_see_only_real_rows(rng, monkeypatch):
     assert real_rows < len(videos) * max(vf.k for vf in videos)  # the batch has padding
     rows_into = operand_rows(monkeypatch)
     with Graph():
-        forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
+        forward(*gathered(videos), params, config, rng=SplitMix64(0).derive("drop"))
     for (q_name, _), p in zip(PAIRINGS, params.pairings):
         expect = real_rows if q_name == "expression" else len(videos) * config.n
         assert rows_into[id(p.w_q)] == expect, q_name
@@ -545,7 +547,7 @@ def test_every_key_value_side_is_b_equal_blocks_of_n_rows(rng, monkeypatch):
 
     monkeypatch.setattr(ag, "attention", spied)
     with Graph():
-        forward(videos, params, config, rng=SplitMix64(0).derive("drop"))
+        forward(*gathered(videos), params, config, rng=SplitMix64(0).derive("drop"))
     rows = len(videos) * config.n
     assert [(k_rows, v_rows) for k_rows, v_rows, _ in seen] == [(rows, rows)] * len(PAIRINGS)
     # Only the expression query side has unequal lengths.
@@ -588,7 +590,7 @@ def test_a_pairings_dropout_does_not_depend_on_other_pairings_rows(rng, monkeypa
     monkeypatch.setattr(model, "cross_attention", recorded)
     for batch in (videos, more_faces):
         with Graph():
-            forward(batch, params, config, rng=SplitMix64(0).derive("drop"))
+            forward(*gathered(batch), params, config, rng=SplitMix64(0).derive("drop"))
     for got in outputs.values():
         assert len(got) == 2 and got[0] == got[1]
 
@@ -611,7 +613,7 @@ def test_default_pairing_gradients_through_padded_queries_match_finite_differenc
     labels = [int(vf.label) for vf in videos]
 
     def loss_fn(_ignored):
-        return cross_entropy(forward(videos, params, config), labels)
+        return cross_entropy(forward(*gathered(videos), params, config), labels)
 
     for name, tensor in params.named_tensors():
         report = ag.grad_check(loss_fn, tensor, eps=1e-4, tol=1e-4)
@@ -625,7 +627,7 @@ def test_forward_rejects_wrong_channel_dim(rng):
     bad_dims["clip"] = 5
     vf = make_video(rng, n_stored=config.n, k=1, dims=bad_dims)
     with pytest.raises(ShapeError):
-        forward([vf], params, config)
+        forward(*gathered([vf]), params, config)
 
 
 def test_forward_rejects_unsampled_video(rng):
@@ -633,7 +635,78 @@ def test_forward_rejects_unsampled_video(rng):
     params = init_params(config, seed=0)
     vf = make_video(rng, n_stored=9, k=1)
     with pytest.raises(ShapeError, match="sample"):
-        forward([vf], params, config)
+        forward(*gathered([vf]), params, config)
+
+
+def test_forward_rejects_face_counts_that_do_not_match_the_face_rows(rng):
+    config = tiny_config()
+    params = init_params(config, seed=0)
+    rows, faces = gathered([make_video(rng, n_stored=config.n, k=2, video_id=f"v{i}") for i in range(2)])
+    with pytest.raises(ShapeError, match="'expression'"):
+        forward(rows, faces + [1, 0], params, config)
+    with pytest.raises(ShapeError, match="'clip'"):
+        forward(rows, np.array([4]), params, config)
+    for bad in (np.array([], dtype=np.int64), np.array([5, -1])):
+        with pytest.raises(ValueError, match="face count"):
+            forward(rows, bad, params, config)
+
+
+def test_batch_rows_equal_the_per_video_composition(monkeypatch):
+    # The per-video composition written out: gather one video's frames,
+    # normalize them, then stack the batch, with one zero row for a video
+    # that keeps no face. Stored frames run 1..7 (some shorter than n, so
+    # sampling repeats the last index), faces 0..6, and one index list
+    # repeats frames outright.
+    config = tiny_config(n=4)
+    params = init_params(config, seed=0)
+    rng = np.random.default_rng(31)
+    draws = SplitMix64(31)
+    videos, indices = [], []
+    for i in range(12):
+        n_stored = 1 + i % 7
+        videos.append(make_video(rng, n_stored=n_stored, k=i % (n_stored + 1), video_id=f"c{i}"))
+        indices.append(sample_indices(n_stored, config.n, mode="random", rng=draws.derive(i)))
+    indices[3] = np.array([2, 0, 2, 0])
+    assert {vf.k for vf in videos} == set(range(7))
+    stats = compute_stats(None, videos=videos)
+
+    expect = {name: [] for name in MODALITY_NAMES}
+    kept_faces = []
+    for vf, idx in zip(videos, indices):
+        expect["clip"].append(normalize(vf.clip[idx], "clip", stats))
+        expect["beats"].append(normalize(vf.beats[idx], "beats", stats))
+        kept = [r for r, frame in enumerate(vf.expression_frame_index) if frame in set(idx.tolist())]
+        kept_faces.append(len(kept))
+        expect["expression"].append(
+            normalize(vf.expression[kept], "expression", stats)
+            if kept
+            else np.zeros((1, config.input_dims["expression"]), np.float32)
+        )
+        for name in ("ocr_sentiment", "asr_sentiment"):
+            expect[name].append(normalize(getattr(vf, name)[None, :], name, stats))
+    assert {0, 1}.issubset(kept_faces) and max(kept_faces) > 2
+    expect = {name: np.concatenate(parts) for name, parts in expect.items()}
+
+    got = {}
+    real_attention, real_concat_cols = model.cross_attention, ag.concat_cols
+
+    def attention_spy(pairs, *args, **kwargs):
+        got.update((q, pair[0].data.copy()) for (q, _), pair in zip(PAIRINGS, pairs))
+        return real_attention(pairs, *args, **kwargs)
+
+    def concat_cols_spy(columns):
+        got["ocr_sentiment"], got["asr_sentiment"] = (c.data.copy() for c in columns[-2:])
+        return real_concat_cols(columns)
+
+    monkeypatch.setattr(model, "cross_attention", attention_spy)
+    monkeypatch.setattr(ag, "concat_cols", concat_cols_spy)
+    rows, faces = select_frames(videos, indices)
+    forward(normalize_features(rows, stats), faces, params, config)
+    assert faces.tolist() == kept_faces
+    for name in MODALITY_NAMES:
+        want = expect[name]
+        assert (got[name].dtype, got[name].shape) == (want.dtype, want.shape), name
+        assert got[name].tobytes() == want.tobytes(), name
 
 
 def test_forward_dropout_needs_rng_in_training(rng):
@@ -642,8 +715,8 @@ def test_forward_dropout_needs_rng_in_training(rng):
     vf = make_video(rng, n_stored=config.n, k=1)
     with Graph():
         with pytest.raises(ValueError, match="rng"):
-            forward([vf], params, config)
-        probs = forward([vf], params, config, rng=SplitMix64(0).derive("drop"))
+            forward(*gathered([vf]), params, config)
+        probs = forward(*gathered([vf]), params, config, rng=SplitMix64(0).derive("drop"))
     assert probs.shape == (1, 6)
 
 

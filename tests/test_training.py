@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -13,6 +14,7 @@ import vemoclap.autograd as ag
 import vemoclap.model as model
 import vemoclap.training as training
 from vemoclap.autograd import Graph, Tensor
+from vemoclap.container import read_container, write_container
 from vemoclap.dataset import compute_stats, normalize_features
 from vemoclap.model import forward, init_params
 from vemoclap.synth import synth_dataset
@@ -30,7 +32,7 @@ from vemoclap.training import (
     train,
 )
 
-from conftest import USABLE_CPUS, make_video, tiny_config, tiny_dims
+from conftest import USABLE_CPUS, gathered, make_video, tiny_config, tiny_dims
 
 
 
@@ -265,15 +267,16 @@ def test_loss_strictly_decreases_on_fixed_batch():
     params = init_params(config, seed=1)
     videos = make_separable_videos(seed=2, per_class=2, n_stored=config.n)
     stats = compute_stats(None, videos=videos)
-    batch = [normalize_features(vf, stats) for vf in videos]
-    labels = [int(vf.label) for vf in batch]
+    rows, faces = gathered(videos)
+    rows = normalize_features(rows, stats)
+    labels = [int(vf.label) for vf in videos]
     state = AdamState.for_params(params)
     tconf = TrainConfig(lr=1e-3)
 
     losses = []
     for _ in range(10):
         with Graph() as g:
-            probs = forward(batch, params, config)
+            probs = forward(rows, faces, params, config)
             loss = cross_entropy(probs, labels)
         leaf_grads = g.backward(loss)
         grads = {name: leaf_grads[t] for name, t in params.named_tensors() if t in leaf_grads}
@@ -334,8 +337,8 @@ def dropout_training_bytes(path) -> tuple[str, bytes]:
         return history_csv(result.history), fh.read()
 
 
-@pytest.mark.parametrize("pool_first", [False, True], ids=["inline_first", "fanned_first"])
-def test_training_in_branches_is_bit_identical_to_inline(tmp_path, pooled, monkeypatch, pool_first):
+@pytest.mark.parametrize("pool_first", [False, True], ids=["inline_first", "pool_first"])
+def test_training_on_the_pool_is_bit_identical_to_inline(tmp_path, pooled, monkeypatch, pool_first):
     runs = {}
     for on_pool in (pool_first, not pool_first):
         monkeypatch.setattr(ag, "POOL_MIN_WORK", 0 if on_pool else 2**62)
@@ -576,6 +579,48 @@ def test_evaluate_matches_single_video_predictions_under_heavy_padding():
         perm = np.random.default_rng(1).permutation(len(videos))
         permuted = evaluate([videos[i] for i in perm], params, config, stats)
         assert np.allclose(permuted.probabilities, result.probabilities[perm], rtol=0.0, atol=tol)
+
+
+def test_a_batch_in_which_no_video_keeps_a_face_evaluates(monkeypatch):
+    config = tiny_config(n=4)
+    rng = np.random.default_rng(5)
+    videos = [make_video(rng, n_stored=9, k=0, label=i, video_id=f"f{i}") for i in range(5)]
+    # Equidistant sampling of 9 stored frames picks 0, 2, 5 and 8, so
+    # faces at frames 1, 3 and 7 are all dropped.
+    videos[1] = make_video(rng, n_stored=9, k=3, label=1, video_id="f1")
+    videos[1].expression_frame_index = np.array([1, 3, 7])
+    stats = compute_stats(None, videos=videos)
+    params = init_params(config, seed=2)
+    queries = []
+    real = model.cross_attention
+
+    def spy(pairs, *args, **kwargs):
+        queries.append(pairs[-1][0].data.copy())  # expression -> clip
+        return real(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(model, "cross_attention", spy)
+    result = evaluate(videos, params, config, stats)
+    assert result.probabilities.shape == (5, 6)
+    assert np.allclose(result.probabilities.sum(axis=1), 1.0)
+    assert len(queries) == 1
+    assert queries[0].shape == (5, config.input_dims["expression"]) and not queries[0].any()
+
+
+def test_a_faceless_container_of_another_face_width_predicts(tmp_path):
+    config, params, train_videos, val_videos, stats = small_training_setup(seed=6)
+    faceless = dataclasses.replace(
+        val_videos[0], expression=np.zeros((0, 5), np.float32), expression_frame_index=[]
+    )
+    path = tmp_path / "faceless.vmf"
+    write_container(faceless, path)
+    vf = read_container(path)
+    assert vf.expression.shape == (0, 5) != (0, config.input_dims["expression"])
+    label, probs = predict_label(vf, params, config, stats)
+    assert 0 <= label < 6 and probs.shape == (6,)
+    # Next to videos that keep faces, it gets the same answer.
+    result = evaluate([vf] + val_videos, params, config, stats)
+    assert result.predicted_labels[0] == label
+    assert np.allclose(result.probabilities[0], probs, rtol=0.0, atol=1e-6)
 
 
 def test_argmax_tie_breaks_to_lowest_label():
